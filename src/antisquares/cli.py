@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import enumeration, fibanalysis, morphisms, search
 from .antisquares import characterized_minimal, inventory, minimal_antisquares
@@ -226,13 +225,6 @@ TABLE3_ROWS = [(4, "8/3", 29), (5, "5/2", 32), (6, "7/3", 30)]
 TABLE6_ROWS = [(5, "3", 17), (8, "8/3", 52), (9, "38/15", 407), (14, "5/2", 92), (15, "17/7", 156), (16, "7/3", 38)]
 
 
-def _run_rows(rows, fn, jobs: int):
-    if jobs <= 1:
-        return [fn(row) for row in rows]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, rows))
-
-
 def cmd_reproduce_tables(args) -> int:
     registry = morphisms.load_registry()  # raises on checksum mismatch
     budget = args.budget or _default_budget(search.DEFAULT_SEARCH_BUDGET)
@@ -257,7 +249,7 @@ def cmd_reproduce_tables(args) -> int:
             ok = report.synchronizing and report.image_bound_ok and report.complement_bound == params["m"]
             return name, params, report, ok
 
-        for name, params, report, ok in _run_rows(names, check, args.jobs):
+        for name, params, report, ok in map(check, names):
             _emit(
                 {
                     "anchor": f"Table {2 if args.table == 2 else 5} {name}",
@@ -288,7 +280,7 @@ def cmd_reproduce_tables(args) -> int:
                 checkpoint = os.path.join(args.checkpoint_dir, f"table{args.table}_row{cap}.ckpt")
             return row, search.longest_word(c, budget=budget, max_depth=512, checkpoint_path=checkpoint)
 
-        for row, outcome in _run_rows(rows, run, args.jobs):
+        for row, outcome in map(run, rows):
             cap, beta, expected = row
             anchor = f"Table {args.table} row {cap}"
             if outcome is None:
@@ -375,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-tables", help="reproduce a published table")
     p.add_argument("--table", type=int, required=True, choices=range(1, 7))
     p.add_argument("--budget", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--skip-slow", action="store_true", help="skip the long n=9 row of table 6")
     p.add_argument("--checkpoint-dir")
     p.set_defaults(fn=cmd_reproduce_tables)

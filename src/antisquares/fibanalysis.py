@@ -220,10 +220,8 @@ def verify_h_construction(w: Word) -> tuple[bool, Fraction]:
     2->01000100010001: goodness flag and exact critical exponent."""
     if w.alphabet_size != 3 or len(w) == 0:
         raise ValueError("expected a nonempty ternary word")
-    for p in range(1, len(w) // 2 + 1):
-        for i in range(len(w) - 2 * p + 1):
-            if w.text[i : i + p] == w.text[i + p : i + 2 * p]:
-                raise ValueError("input word is not squarefree")
+    if not satisfies(w, PowerBound(Fraction(2)))[0]:
+        raise ValueError("input word is not squarefree")
     image = morphisms.apply(_morphism("h154"), w)
     cexp, _ = critical_exponent(image)
     return is_good(image), cexp

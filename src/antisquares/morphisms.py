@@ -2,6 +2,13 @@
 and the three verification procedures for the uniform ternary-to-binary
 constructions (synchronization, image power-freeness, complement-factor
 bound with antisquare inventory).
+
+The bound and the inventory rest on the window lemma: for a q-uniform
+morphism h, every factor of length L of h(u), with u squarefree and
+|u| >= ceil(L/q) + 1, lies in h(u') for a squarefree factor u' of u with
+|u'| = ceil(L/q) + 1.  So the images of the squarefree ternary words of
+that one length hold every factor of length <= L, and no longer words need
+to be looked at.
 """
 
 from __future__ import annotations
@@ -18,10 +25,6 @@ from .words import Word, complement_text, factor_texts
 
 class RegistryError(Exception):
     """Registry data file missing, malformed, or failing its checksums."""
-
-
-class StabilizationError(Exception):
-    """A stabilization search exceeded its budget without settling."""
 
 
 @dataclass(frozen=True)
@@ -135,61 +138,59 @@ def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
     return True
 
 
-def _complement_pair_bound_many(texts: list[str]) -> int:
-    """Largest L with some v of length L and its complement both occurring as
-    factors of (possibly different) words in texts."""
-    m = 0
+# Largest squarefree window complement_factor_bound examines before it gives up.
+MAX_WINDOW = 24
+
+
+def _window_images(m: Morphism, length: int) -> list[str]:
+    """Images of all squarefree ternary words of length ceil(length/q) + 1,
+    which by the window lemma hold every factor of length <= length."""
+    q = m.uniform_length
+    if q is None or m.domain_alphabet != 3:
+        raise ValueError("expected a uniform ternary-domain morphism")
+    return [m.apply_text(u.text) for u in squarefree_ternary_words(-(-length // q) + 1)]
+
+
+def complement_factor_bound(m: Morphism) -> int:
+    """Largest L such that some v of length L and its complement both occur
+    in images h(u) of squarefree ternary words u long enough to hold them,
+    |u| >= ceil(L/q) + 1.
+
+    By the window lemma the factors that count at L are exactly those of
+    the images of the squarefree words of length ceil(L/q) + 1.  Having a
+    complementary pair is closed under taking prefixes, so the first L
+    without one gives the exact answer L - 1.
+
+    This is not the same as taking every factor of every image: a short
+    squarefree word that extends to no longer one counts only for the L its
+    length can hold.  For Morphism(("0", "1", "0")) the whole image of
+    1012101 adds a pair at L = 7, and the bound is 6.  Where the window at
+    L = m + 1 is 2 letters, as for every published construction, each
+    window word extends to an infinite squarefree word, so m is the value
+    for infinite words.
+
+    Raises ValueError for a non-uniform or non-ternary-domain morphism, and
+    when pairs persist through windows of MAX_WINDOW letters.
+    """
     length = 1
     while True:
         facs: set[str] = set()
-        for t in texts:
-            if len(t) >= length:
-                facs |= factor_texts(t, length)
-        if not facs or not any(complement_text(v) in facs for v in facs):
-            return m
-        m = length
+        for image in _window_images(m, length):
+            facs |= factor_texts(image, length)
+        if not any(complement_text(v) in facs for v in facs):
+            return length - 1
+        if length == (MAX_WINDOW - 1) * m.uniform_length:
+            raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")
         length += 1
 
 
-def complement_factor_bound(m: Morphism, settle_t: int = 4, max_t: int = 24) -> int:
-    """Stabilized maximum |v| such that v and its complement both occur in
-    images of squarefree ternary words.
-
-    Evaluated over squarefree test words of length T = 4, 5, ...; stops once
-    the bound is unchanged for 3 consecutive T with T >= settle_t.  Raises
-    StabilizationError if it does not settle by T = max_t.
-    """
-    if m.domain_alphabet != 3:
-        raise ValueError("complement_factor_bound expects a ternary-domain morphism")
-    prev = None
-    stable = 0
-    for T in range(4, max_t + 1):
-        texts = [m.apply_text(u.text) for u in squarefree_ternary_words(T)]
-        bound = _complement_pair_bound_many(texts)
-        if bound == prev:
-            stable += 1
-        else:
-            prev, stable = bound, 1
-        if stable >= 3 and T >= settle_t:
-            return bound
-    raise StabilizationError(f"complement factor bound did not settle by T={max_t}")
-
-
 def morphic_antisquare_inventory(m: Morphism, window: int) -> AntisquareInventory:
-    """Distinct antisquares occurring in images of squarefree ternary words,
-    collected from factors of length <= window.
-
-    For a synchronizing morphism, factors of length <= window are covered by
-    images of squarefree words of length ceil(window/q) + 2.
-    """
-    q = m.uniform_length
-    if q is None:
-        raise ValueError("expected a uniform morphism")
-    tlen = -(-window // q) + 2
+    """Distinct antisquares of length <= window occurring in images of
+    squarefree ternary words; by the window lemma the images of the words
+    of length ceil(window/q) + 1 hold all of them."""
     combined = AntisquareInventory()
-    for u in squarefree_ternary_words(tlen):
-        inv = inventory(apply(m, u))
-        for a in inv.distinct:
+    for image in _window_images(m, window):
+        for a in inventory(Word(image, m.target_alphabet)).distinct:
             if len(a) <= window:
                 combined.distinct.add(a)
     return combined
@@ -316,6 +317,6 @@ def verify_construction(name: str, registry=None) -> MorphismCheckReport:
     bound = PowerBound.parse(params["bound"])
     sync = is_synchronizing(m)
     ok_images = image_power_check(m, bound, params["t"])
-    cb = complement_factor_bound(m, settle_t=params["t"])
+    cb = complement_factor_bound(m)
     inv = morphic_antisquare_inventory(m, 2 * cb)
     return MorphismCheckReport(name, sync, ok_images, params["t"], cb, inv)

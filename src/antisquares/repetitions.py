@@ -224,44 +224,3 @@ def satisfies(w: Word, bound: PowerBound) -> tuple[bool, Optional[Repetition]]:
             return False, Repetition(int(starts[i]), p, p + min_run)
     return True, None
 
-
-class IncrementalPowerChecker:
-    """Power-bound validator for append-one-letter search loops.
-
-    Maintains, for every period p, the length of the maximal equality run at
-    distance p ending at the current last position.  A newly created violation
-    must end at the appended position, so each push is O(current length).
-    """
-
-    def __init__(self, bound: PowerBound):
-        self.bound = bound
-        self.letters: list[int] = []
-        self._runs: list[list[int]] = [[]]
-        self._min_run: list[int] = [0]  # 1-indexed by period
-
-    def _min_run_for(self, p: int) -> int:
-        while len(self._min_run) <= p:
-            self._min_run.append(self.bound.min_violating_run(len(self._min_run)))
-        return self._min_run[p]
-
-    def push(self, letter: int) -> bool:
-        """Append a letter; returns True iff the extended word still satisfies
-        the bound.  The letter is kept either way (pop to undo)."""
-        prev = self._runs[-1]
-        w = self.letters
-        L = len(w) + 1
-        runs = [0] * (L - 1)
-        ok = True
-        for i in range(L - 1):  # period p = i + 1
-            if w[L - 2 - i] == letter:
-                r = (prev[i] if i < L - 2 else 0) + 1
-                runs[i] = r
-                if ok and r >= self._min_run_for(i + 1):
-                    ok = False
-        w.append(letter)
-        self._runs.append(runs)
-        return ok
-
-    def pop(self) -> None:
-        self.letters.pop()
-        self._runs.pop()

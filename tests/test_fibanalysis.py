@@ -111,6 +111,8 @@ def test_h_construction_examples():
     with pytest.raises(ValueError):
         fa.verify_h_construction(Word("00", 3))
     with pytest.raises(ValueError):
+        fa.verify_h_construction(Word("01212", 3))
+    with pytest.raises(ValueError):
         fa.verify_h_construction(Word("01"))
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from antisquares.morphisms import (
@@ -16,7 +18,7 @@ from antisquares.morphisms import (
     verify_construction,
 )
 from antisquares.repetitions import PowerBound
-from antisquares.words import Word
+from antisquares.words import Word, complement_text, factor_texts
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,50 @@ def test_image_power_check_negative():
 
 def test_complement_factor_bound_small(registry):
     assert complement_factor_bound(registry["zeta3"].morphism) == 4
+
+
+def _brute_complement_factor_bound(m, max_word=9):
+    """The bound from every squarefree u with ceil(L/q)+1 <= |u| <= max_word,
+    without the window lemma; None if pairs outlast words of max_word."""
+    q = m.uniform_length
+    words = {n: [u.text for u in squarefree_ternary_words(n)] for n in range(2, max_word + 1)}
+    length = 1
+    while -(-length // q) + 1 <= max_word:
+        facs = set()
+        for n in range(-(-length // q) + 1, max_word + 1):
+            for u in words[n]:
+                facs |= factor_texts(m.apply_text(u), length)
+        if not any(complement_text(v) in facs for v in facs):
+            return length - 1
+        length += 1
+    return None
+
+
+def test_complement_factor_bound_matches_brute_force():
+    rng = random.Random(2022)
+    compared = 0
+    while compared < 40:
+        q = rng.randint(2, 6)
+        m = Morphism(tuple("".join(rng.choice("01") for _ in range(q)) for _ in range(3)))
+        expected = _brute_complement_factor_bound(m)
+        if expected is None:
+            continue
+        assert complement_factor_bound(m) == expected, m.images
+        compared += 1
+
+
+def test_complement_factor_bound_counts_only_long_enough_words():
+    # the whole image 1010101 of the squarefree 1012101, which extends to no
+    # longer squarefree word, and that of 0121012 form a pair at L = 7; the
+    # window of 8 letters that L = 7 needs has none
+    assert complement_factor_bound(Morphism(("0", "1", "0"))) == 6
+
+
+def test_complement_factor_bound_errors(registry):
+    with pytest.raises(ValueError, match="persist"):
+        complement_factor_bound(Morphism(("01", "01", "01")))
+    with pytest.raises(ValueError):
+        complement_factor_bound(registry["h154"].morphism)
 
 
 def test_complement_factor_bound_caps_antisquare_orders(registry):

@@ -2,11 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from antisquares.repetitions import (
-    IncrementalPowerChecker,
     PowerBound,
     Repetition,
     critical_exponent,
@@ -135,32 +134,6 @@ def test_maximal_repetitions_are_repetitions(w):
         end = r.start + r.length
         if end < len(t):
             assert t[end] != t[end - r.period]
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=25),
-       st.sampled_from(["2", "7/3+", "5/2", "3"]))
-@settings(max_examples=60)
-def test_incremental_checker_matches_satisfies(letters, spec):
-    bound = PowerBound.parse(spec)
-    checker = IncrementalPowerChecker(bound)
-    for i, a in enumerate(letters):
-        ok = checker.push(a)
-        prefix = Word("".join(map(str, letters[: i + 1])))
-        # push reports exactly whether the new prefix is clean; after a
-        # failure the caller must pop, so stop comparing there
-        assert ok == satisfies(prefix, bound)[0]
-        if not ok:
-            break
-
-
-def test_incremental_checker_pop_restores():
-    checker = IncrementalPowerChecker(PowerBound.parse("2"))
-    assert checker.push(0)
-    assert checker.push(1)
-    assert not checker.push(1)  # 011 contains the square 11
-    checker.pop()
-    assert checker.push(0)  # 010 is fine
-    assert checker.letters == [0, 1, 0]
 
 
 def test_repetition_exponent():
