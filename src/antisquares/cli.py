@@ -108,10 +108,21 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _longest_word(c: search.ConstraintSet, resume_from=None, **kwargs) -> search.SearchOutcome:
+    """search.longest_word, with a checkpoint that cannot be resumed
+    reported as a usage error."""
+    try:
+        return search.longest_word(c, resume_from=resume_from, **kwargs)
+    except ValueError as exc:
+        if resume_from is None:
+            raise
+        raise UsageError(f"cannot resume from {resume_from}: {exc}") from exc
+
+
 def cmd_search(args) -> int:
     c = _constraints(args)
     budget = args.budget or _default_budget(search.DEFAULT_SEARCH_BUDGET)
-    outcome = search.longest_word(
+    outcome = _longest_word(
         c,
         budget=budget,
         max_depth=args.max_depth,
@@ -275,10 +286,11 @@ def cmd_reproduce_tables(args) -> int:
                 if args.table == 3
                 else search.ConstraintSet(power=PowerBound.parse(beta), max_distinct_antisquares=cap)
             )
-            checkpoint = None
+            checkpoint = resume = None
             if args.checkpoint_dir:
                 checkpoint = os.path.join(args.checkpoint_dir, f"table{args.table}_row{cap}.ckpt")
-            return row, search.longest_word(c, budget=budget, max_depth=512, checkpoint_path=checkpoint)
+                resume = checkpoint if os.path.exists(checkpoint) else None
+            return row, _longest_word(c, budget=budget, max_depth=512, checkpoint_path=checkpoint, resume_from=resume)
 
         for row, outcome in map(run, rows):
             cap, beta, expected = row

@@ -3,6 +3,12 @@ and the three verification procedures for the uniform ternary-to-binary
 constructions (synchronization, image power-freeness, complement-factor
 bound with antisquare inventory).
 
+The image check walks the tree of squarefree ternary words once,
+appending one image block per node and extending the equality run of every
+period (see image_power_check); it visits only prefixes of words of the
+requested length, so a violation is counted only where some word of that
+length lies below it.
+
 The bound and the inventory rest on the window lemma: for a q-uniform
 morphism h, every factor of length L of h(u), with u squarefree and
 |u| >= ceil(L/q) + 1, lies in h(u') for a squarefree factor u' of u with
@@ -18,8 +24,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .antisquares import AntisquareInventory, inventory
-from .repetitions import PowerBound, satisfies
+from .repetitions import PowerBound, _runs_of
 from .words import Word, complement_text, factor_texts
 
 
@@ -128,13 +137,89 @@ def squarefree_ternary_words(length: int) -> Iterator[Word]:
 
 def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
     """True iff the image of every squarefree ternary word of length t
-    satisfies the bound."""
+    satisfies the bound.
+
+    One depth-first walk over the prefixes of those words: a node appends the
+    image block of its last letter and updates, for every period p, the run
+    of positions i with x[i] == x[i-p] that ends the image.  A factor that
+    breaks the bound ends in the block of the first node whose image holds
+    it, where it shows as a run crossing the block start or lying inside the
+    block, so each factor is checked once per tree path, not once per word.
+    The per-depth state is a stack of at most t run vectors.
+
+    The walk follows squarefree_ternary_words(t) leaf by leaf, so it visits
+    only prefixes of words of length t: a prefix that extends to no such word
+    (0102010 is the first) is never visited, and a violation found at any
+    node is one in the image of every word below it.  Per-letter block
+    lengths make non-uniform morphisms work too.
+    """
     if m.domain_alphabet != 3:
         raise ValueError("image_power_check expects a ternary-domain morphism")
+    if t < 0:
+        raise ValueError("length must be >= 0")
+    if t == 0:
+        return True  # the image of the empty word is empty
+    # images are written back to front into one buffer, so that the letters
+    # before position i of the image read forwards from the end of i's block
+    blocks = [np.frombuffer(im[::-1].encode("ascii"), dtype=np.uint8) - 48 for im in m.images]
+    pad = max(len(blk) for blk in blocks) - 1
+    size = t * (pad + 1)
+    # sentinel padding after the image start: x[i - p] with i < p never matches
+    text = np.full(size + pad, 255, dtype=np.uint8)
+    windows = {len(blk): sliding_window_view(text, len(blk)) for blk in blocks}
+    min_run = np.array([bound.min_violating_run(p) for p in range(1, size + 1)], dtype=np.int32)
+    # periods whose violating runs fit strictly inside a block, by block length
+    inner = {b: int(np.searchsorted(min_run, b)) for b in windows}
+    # row d: the run ending the image at each period, zero past the periods
+    # of the depth-d image
+    runs = np.zeros((t + 1, size), dtype=np.int32)
+    ends = [0] * (t + 1)
+
+    def push(depth: int, letter: int) -> bool:
+        blk = blocks[letter]
+        b = len(blk)
+        n = ends[depth]
+        ends[depth + 1] = n + b
+        start = size - n - b
+        text[start : start + b] = blk
+        periods = n + b - 1
+        if periods == 0:
+            return True
+        # row p-1 compares the block, last letter first, with the b letters
+        # p before them
+        miss = windows[b][start + 1 : start + 1 + periods] != blk
+        trail = miss.argmax(axis=1)
+        full = ~miss[np.arange(periods), trail]
+        old = runs[depth, :periods]
+        # a run through the block start breaks the bound only where the run
+        # that ended the previous image plus the whole block reaches min_run
+        reach = np.flatnonzero(old + b >= min_run[:periods])
+        if reach.size:
+            rows = miss[reach]
+            lead = np.where(full[reach], b, rows[:, ::-1].argmax(axis=1))
+            if (old[reach] + lead >= min_run[reach]).any():
+                return False
+        k = min(inner[b], periods)
+        if k:
+            seg = np.zeros((k, b + 1), dtype=bool)
+            np.logical_not(miss[:k], out=seg[:, :b])
+            starts, lengths = _runs_of(seg.ravel())
+            if (lengths >= min_run[starts // (b + 1)]).any():
+                return False
+        new = runs[depth + 1]
+        new[:periods] = np.where(full, old + b, trail)
+        new[periods:] = 0
+        return True
+
+    prev = ""
     for u in squarefree_ternary_words(t):
-        ok, _ = satisfies(apply(m, u), bound)
-        if not ok:
-            return False
+        depth = 0
+        while depth < len(prev) and prev[depth] == u.text[depth]:
+            depth += 1
+        for depth in range(depth, t):
+            if not push(depth, ord(u.text[depth]) - 48):
+                return False
+        prev = u.text
     return True
 
 

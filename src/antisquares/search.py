@@ -15,6 +15,7 @@ constraint is checked incrementally at the frontier.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +29,7 @@ from .words import Word, complement_text
 DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_COUNT_BUDGET = 10**7
 
-CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v1"
+CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v2"
 
 
 class BudgetExceeded(Exception):
@@ -229,6 +230,10 @@ class _DFS:
         self.next_letter = [0] * (max_depth + 1)
         self.depth = 0
         self.first_letter_limit = 1 if c.complement_closed else c.alphabet_size
+        # longest valid word reached so far (kept by longest_word); a
+        # checkpoint carries it, since a resumed run never revisits it
+        self.best_length = 0
+        self.best_text = ""
 
     def run(self, on_word, target: Optional[int] = None,
             checkpoint_path: Optional[str] = None, checkpoint_every: int = 5_000_000) -> bool:
@@ -274,29 +279,48 @@ class _DFS:
                 self.save_checkpoint(checkpoint_path)
 
     def save_checkpoint(self, path: str) -> None:
+        """Write the search state atomically: a temporary file is made
+        durable and then renamed over path."""
         state = {
             "magic": CHECKPOINT_MAGIC,
             "constraints": self.c.describe(),
+            "max_depth": self.max_depth,
             "letters": "".join(map(str, self.checker.letters)),
             "next_letter": self.next_letter[: self.depth + 1],
             "nodes": self.nodes,
+            "best_length": self.best_length,
+            "best_witness": self.best_text,
         }
-        with open(path, "w") as fh:
+        tmp = path + ".tmp"
+        with open(tmp, "w") as fh:
             json.dump(state, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
 
     def restore(self, path: str) -> None:
+        """Load a checkpoint; ValueError if it is not one, or was written
+        under other constraints or another max_depth."""
         with open(path) as fh:
-            state = json.load(fh)
-        if state.get("magic") != CHECKPOINT_MAGIC:
+            state = json.load(fh)  # malformed text raises a ValueError subclass
+        if not isinstance(state, dict) or state.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError("not a search checkpoint file")
         if state["constraints"] != self.c.describe():
             raise ValueError("checkpoint was produced under different constraints")
-        for ch in state["letters"]:
+        if state["max_depth"] != self.max_depth:
+            raise ValueError(
+                f"checkpoint was produced with max_depth {state['max_depth']}, not {self.max_depth}"
+            )
+        letters, best = state["letters"], state["best_witness"]
+        if len(state["next_letter"]) != len(letters) + 1 or len(best) != state["best_length"]:
+            raise ValueError("corrupt checkpoint: inconsistent lengths")
+        for ch in letters:
             if not self.checker.push(ord(ch) - 48):
                 raise ValueError("corrupt checkpoint: prefix is invalid")
             self.depth += 1
         self.next_letter[: self.depth + 1] = state["next_letter"]
         self.nodes = state["nodes"]
+        self.best_length, self.best_text = state["best_length"], best
 
 
 def longest_word(
@@ -318,19 +342,18 @@ def longest_word(
     dfs = _DFS(c, max_depth, budget)
     if resume_from:
         dfs.restore(resume_from)
-    best = {"length": 0, "witness": Word("", c.alphabet_size)}
 
     def on_word(depth: int) -> None:
-        if depth > best["length"]:
-            best["length"] = depth
-            best["witness"] = dfs.checker.word()
+        if depth > dfs.best_length:
+            dfs.best_length = depth
+            dfs.best_text = dfs.checker.word().text
 
     done = dfs.run(on_word, target=target, checkpoint_path=checkpoint_path)
     if not done and checkpoint_path:
         dfs.save_checkpoint(checkpoint_path)
     return SearchOutcome(
-        max_length=best["length"],
-        witness=best["witness"],
+        max_length=dfs.best_length,
+        witness=Word(dfs.best_text, c.alphabet_size),
         exhausted=done,
         nodes_explored=dfs.nodes,
         wall_time=time.monotonic() - start,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -116,6 +117,29 @@ def test_reproduce_table_1(capsys):
     code, records, _ = run(capsys, "reproduce-tables", "--table", "1")
     assert code == EXIT_OK
     assert all(r["pass"] for r in records)
+
+
+def test_reproduce_tables_checkpoint_dir_resumes(tmp_path, capsys):
+    ckpt = ["reproduce-tables", "--table", "3", "--checkpoint-dir", str(tmp_path)]
+    code, records, _ = run(capsys, *ckpt, "--budget", "500")
+    assert code == EXIT_BUDGET
+    assert [r["exhausted"] for r in records] == [False] * 3
+    code, resumed, _ = run(capsys, *ckpt)
+    assert code == EXIT_OK
+    code, fresh, _ = run(capsys, "reproduce-tables", "--table", "3")
+    assert resumed == fresh
+    assert all(r["pass"] for r in resumed)
+    # a checkpoint of another row is a usage error, not a traceback
+    os.replace(tmp_path / "table3_row4.ckpt", tmp_path / "table3_row5.ckpt")
+    code, _, _ = run(capsys, *ckpt)
+    assert code == EXIT_USAGE
+
+
+def test_search_resume_from_garbage_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("{}")
+    code, _, _ = run(capsys, "search", "--beta", "2", "--resume", str(path))
+    assert code == EXIT_USAGE
 
 
 def test_usage_errors():

@@ -17,7 +17,7 @@ from antisquares.morphisms import (
     squarefree_ternary_words,
     verify_construction,
 )
-from antisquares.repetitions import PowerBound
+from antisquares.repetitions import PowerBound, satisfies
 from antisquares.words import Word, complement_text, factor_texts
 
 
@@ -134,6 +134,77 @@ def test_image_power_check_negative():
     # images of a constant morphism are full of squares
     bad = Morphism(("000", "000", "000"))
     assert not image_power_check(bad, PowerBound.parse("2"), 2)
+
+
+def _reference_image_power_check(m, bound, t):
+    """The per-word definition: every image scanned from scratch."""
+    return all(satisfies(apply(m, u), bound)[0] for u in squarefree_ternary_words(t))
+
+
+# Thue-Morse prefix: images cut from it are overlap-free, so they make cases
+# where the answer is True
+THUE_MORSE = "".join(str(bin(i).count("1") % 2) for i in range(256))
+IMAGE_BOUNDS = ["2", "2+", "7/3", "7/3+", "5/2", "5/2+", "8/3", "3", "3+", "10/3+", "7/2", "4", "4+", "9/2+", "5", "5+"]
+
+
+def test_image_power_check_matches_reference_on_random_morphisms():
+    rng = random.Random(2006)
+    true_cases = 0
+    for _ in range(320):
+        q = rng.randint(1, 40)
+        lengths = [q] * 3 if rng.random() < 0.5 else [rng.randint(1, q) for _ in range(3)]
+        if rng.random() < 0.5:
+            images = ["".join(rng.choice("01") for _ in range(n)) for n in lengths]
+        else:
+            starts = [rng.randrange(256 - n) for n in lengths]
+            images = [THUE_MORSE[i : i + n] for i, n in zip(starts, lengths)]
+        m = Morphism(tuple(images))
+        bound = PowerBound.parse(rng.choice(IMAGE_BOUNDS))
+        t = rng.randint(0, 9)
+        expected = _reference_image_power_check(m, bound, t)
+        assert image_power_check(m, bound, t) == expected, (m.images, str(bound), t)
+        true_cases += expected and t >= 2
+    assert true_cases >= 40
+
+
+def test_image_power_check_matches_reference_on_registry(registry):
+    for name, entry in registry.items():
+        if entry.morphism.domain_alphabet != 3:
+            continue
+        for text in ("2", "2+", "7/3", "5/2"):
+            bound = PowerBound.parse(text)
+            for t in (1, 4, 7):
+                expected = _reference_image_power_check(entry.morphism, bound, t)
+                assert image_power_check(entry.morphism, bound, t) == expected, (name, text, t)
+
+
+def test_image_power_check_non_uniform_h154(registry):
+    m = registry["h154"].morphism
+    for text in ("15/4", "15/4+"):
+        bound = PowerBound.parse(text)
+        for t in range(10):
+            assert image_power_check(m, bound, t) == _reference_image_power_check(m, bound, t)
+    assert image_power_check(m, PowerBound.parse("15/4+"), 9)
+    assert not image_power_check(m, PowerBound.parse("15/4"), 9)
+
+
+def test_image_power_check_skips_dead_end_prefixes():
+    # h(2021202) = 11011011011 is an 11/3-power; 2021202 extends to no
+    # squarefree word of length 8, whose images reach only 10/3
+    m = Morphism(("0", "0", "11"))
+    bound = PowerBound.parse("10/3+")
+    assert not image_power_check(m, bound, 7)
+    assert image_power_check(m, bound, 8)
+    assert _reference_image_power_check(m, bound, 8)
+
+
+def test_image_power_check_edge_lengths(registry):
+    m = registry["zeta3"].morphism
+    assert image_power_check(m, PowerBound.parse("2"), 0)
+    with pytest.raises(ValueError):
+        image_power_check(m, PowerBound.parse("2"), -1)
+    with pytest.raises(ValueError):
+        image_power_check(Morphism(("01", "10")), PowerBound.parse("2"), 3)
 
 
 def test_complement_factor_bound_small(registry):

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -148,20 +149,25 @@ def test_target_short_circuits():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    c = ConstraintSet(power=PowerBound.parse("7/3+"), max_antisquare_order=4)
-    full = longest_word(c, max_depth=64)
-    assert full.exhausted
-
+    # for every budget, interrupting and resuming must give the uninterrupted
+    # run's length, witness and total node count
     path = str(tmp_path / "state.json")
-    # interrupt early, checkpointing every few nodes
-    partial = longest_word(c, budget=200, max_depth=64, checkpoint_path=path)
-    assert not partial.exhausted
-
-    resumed = longest_word(c, max_depth=64, resume_from=path)
-    assert resumed.exhausted
-    assert max(partial.max_length, resumed.max_length) == full.max_length
-    # no node is explored twice across the two runs
-    assert resumed.nodes_explored >= full.nodes_explored
+    for c in (
+        ConstraintSet(power=PowerBound.parse("8/3"), max_antisquare_order=4),
+        ConstraintSet(power=PowerBound.parse("3"), max_distinct_antisquares=3),
+    ):
+        full = longest_word(c, max_depth=64)
+        assert full.exhausted
+        want = (full.max_length, full.witness, full.nodes_explored, True)
+        step = max(1, full.nodes_explored // 64)
+        for budget in [*range(1, full.nodes_explored, step), full.nodes_explored - 1]:
+            partial = longest_word(c, budget=budget, max_depth=64, checkpoint_path=path)
+            assert not partial.exhausted
+            assert partial.nodes_explored == budget
+            resumed = longest_word(c, max_depth=64, resume_from=path)
+            got = (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted)
+            assert got == want, (c.describe(), budget)
+        assert not os.path.exists(path + ".tmp")
 
 
 def test_checkpoint_rejects_other_constraints(tmp_path):
@@ -169,6 +175,12 @@ def test_checkpoint_rejects_other_constraints(tmp_path):
     longest_word(GOOD, budget=100, max_depth=32, checkpoint_path=path)
     with pytest.raises(ValueError):
         longest_word(SQUAREFREEISH, max_depth=32, resume_from=path)
+    with pytest.raises(ValueError, match="max_depth"):
+        longest_word(GOOD, max_depth=16, resume_from=path)
+    with open(path, "w") as fh:
+        fh.write("not json")
+    with pytest.raises(ValueError):
+        longest_word(GOOD, max_depth=32, resume_from=path)
 
 
 def test_extendable_cores_small():
