@@ -183,8 +183,6 @@ def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
         start = size - n - b
         text[start : start + b] = blk
         periods = n + b - 1
-        if periods == 0:
-            return True
         # row p-1 compares the block, last letter first, with the b letters
         # p before them
         miss = windows[b][start + 1 : start + 1 + periods] != blk

@@ -232,7 +232,6 @@ class _DFS:
         self.first_letter_limit = 1 if c.complement_closed else c.alphabet_size
         # longest valid word reached so far (kept by longest_word); a
         # checkpoint carries it, since a resumed run never revisits it
-        self.best_length = 0
         self.best_text = ""
 
     def run(self, on_word, target: Optional[int] = None,
@@ -288,7 +287,6 @@ class _DFS:
             "letters": "".join(map(str, self.checker.letters)),
             "next_letter": self.next_letter[: self.depth + 1],
             "nodes": self.nodes,
-            "best_length": self.best_length,
             "best_witness": self.best_text,
         }
         tmp = path + ".tmp"
@@ -299,28 +297,43 @@ class _DFS:
         os.replace(tmp, path)
 
     def restore(self, path: str) -> None:
-        """Load a checkpoint; ValueError if it is not one, or was written
-        under other constraints or another max_depth."""
+        """Load a checkpoint; ValueError if it is not one, was written
+        under other constraints or another max_depth, or is corrupt."""
         with open(path) as fh:
             state = json.load(fh)  # malformed text raises a ValueError subclass
         if not isinstance(state, dict) or state.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError("not a search checkpoint file")
-        if state["constraints"] != self.c.describe():
+        if state.get("constraints") != self.c.describe():
             raise ValueError("checkpoint was produced under different constraints")
-        if state["max_depth"] != self.max_depth:
+        if state.get("max_depth") != self.max_depth:
             raise ValueError(
-                f"checkpoint was produced with max_depth {state['max_depth']}, not {self.max_depth}"
+                f"checkpoint was produced with max_depth {state.get('max_depth')}, not {self.max_depth}"
             )
-        letters, best = state["letters"], state["best_witness"]
-        if len(state["next_letter"]) != len(letters) + 1 or len(best) != state["best_length"]:
-            raise ValueError("corrupt checkpoint: inconsistent lengths")
+        letters, next_letter = state.get("letters"), state.get("next_letter")
+        nodes, best = state.get("nodes"), state.get("best_witness")
+
+        def valid(text) -> bool:
+            if not isinstance(text, str) or len(text) > self.max_depth or not set(text) <= {"0", "1"}:
+                return False
+            checker = IncrementalChecker(self.c, self.max_depth)
+            return all(checker.push(ord(ch) - 48) for ch in text)
+
+        if not (
+            valid(letters)
+            and valid(best)
+            and isinstance(next_letter, list)
+            and len(next_letter) == len(letters) + 1
+            and all(type(a) is int and 0 <= a <= self.c.alphabet_size for a in next_letter)
+            and type(nodes) is int
+            and nodes >= 0
+        ):
+            raise ValueError("corrupt checkpoint")
         for ch in letters:
-            if not self.checker.push(ord(ch) - 48):
-                raise ValueError("corrupt checkpoint: prefix is invalid")
-            self.depth += 1
-        self.next_letter[: self.depth + 1] = state["next_letter"]
-        self.nodes = state["nodes"]
-        self.best_length, self.best_text = state["best_length"], best
+            self.checker.push(ord(ch) - 48)
+        self.depth = len(letters)
+        self.next_letter[: self.depth + 1] = next_letter
+        self.nodes = nodes
+        self.best_text = best
 
 
 def longest_word(
@@ -344,15 +357,14 @@ def longest_word(
         dfs.restore(resume_from)
 
     def on_word(depth: int) -> None:
-        if depth > dfs.best_length:
-            dfs.best_length = depth
+        if depth > len(dfs.best_text):
             dfs.best_text = dfs.checker.word().text
 
     done = dfs.run(on_word, target=target, checkpoint_path=checkpoint_path)
     if not done and checkpoint_path:
         dfs.save_checkpoint(checkpoint_path)
     return SearchOutcome(
-        max_length=dfs.best_length,
+        max_length=len(dfs.best_text),
         witness=Word(dfs.best_text, c.alphabet_size),
         exhausted=done,
         nodes_explored=dfs.nodes,

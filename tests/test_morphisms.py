@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -176,6 +177,30 @@ def test_image_power_check_matches_reference_on_registry(registry):
             for t in (1, 4, 7):
                 expected = _reference_image_power_check(entry.morphism, bound, t)
                 assert image_power_check(entry.morphism, bound, t) == expected, (name, text, t)
+
+
+def test_image_power_check_one_letter_image_after_longer():
+    # a one-letter image at depth 0 must clear the runs the previous first
+    # letter's longer image left; every image here is cube-free
+    for images in (("01", "011", "0"), ("011", "0", "01")):
+        m = Morphism(images)
+        for t in range(6):
+            assert image_power_check(m, PowerBound.parse("3"), t), (images, t)
+
+
+def test_image_power_check_matches_reference_on_short_images():
+    # every morphism whose images have one or two letters
+    short = ["0", "1", "00", "01", "10", "11"]
+    true_cases = 0
+    for images in product(short, repeat=3):
+        m = Morphism(images)
+        for text in ("2+", "5/2", "3", "3+"):
+            bound = PowerBound.parse(text)
+            for t in (1, 2, 5):
+                expected = _reference_image_power_check(m, bound, t)
+                assert image_power_check(m, bound, t) == expected, (images, text, t)
+                true_cases += expected and t >= 2
+    assert true_cases >= 20
 
 
 def test_image_power_check_non_uniform_h154(registry):

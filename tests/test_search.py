@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 from itertools import product
@@ -177,6 +178,21 @@ def test_checkpoint_rejects_other_constraints(tmp_path):
         longest_word(SQUAREFREEISH, max_depth=32, resume_from=path)
     with pytest.raises(ValueError, match="max_depth"):
         longest_word(GOOD, max_depth=16, resume_from=path)
+    with open(path) as fh:
+        state = json.load(fh)
+    corrupt = [
+        {k: v for k, v in state.items() if k != "best_witness"},
+        {k: v for k, v in state.items() if k != "nodes"},
+        {**state, "best_witness": "0110"},  # an antisquare of order 2
+        {**state, "best_witness": "012"},
+        {**state, "letters": 7},
+        {**state, "next_letter": ["0"] * len(state["next_letter"])},
+    ]
+    for bad in corrupt:
+        with open(path, "w") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(ValueError, match="corrupt"):
+            longest_word(GOOD, max_depth=32, resume_from=path)
     with open(path, "w") as fh:
         fh.write("not json")
     with pytest.raises(ValueError):
