@@ -179,20 +179,13 @@ def test_image_power_check_matches_reference_on_registry(registry):
                 assert image_power_check(entry.morphism, bound, t) == expected, (name, text, t)
 
 
-def test_image_power_check_one_letter_image_after_longer():
-    # a one-letter image at depth 0 must clear the runs the previous first
-    # letter's longer image left; every image here is cube-free
-    for images in (("01", "011", "0"), ("011", "0", "01")):
-        m = Morphism(images)
-        for t in range(6):
-            assert image_power_check(m, PowerBound.parse("3"), t), (images, t)
-
-
 def test_image_power_check_matches_reference_on_short_images():
-    # every morphism whose images have one or two letters
+    # every morphism whose images have one or two letters, and two where a
+    # one-letter image follows a longer first-letter image, whose runs the
+    # walk must clear (all their images at t = 2 are cube-free)
     short = ["0", "1", "00", "01", "10", "11"]
     true_cases = 0
-    for images in product(short, repeat=3):
+    for images in [*product(short, repeat=3), ("01", "011", "0"), ("011", "0", "01")]:
         m = Morphism(images)
         for text in ("2+", "5/2", "3", "3+"):
             bound = PowerBound.parse(text)
