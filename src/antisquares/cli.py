@@ -156,6 +156,7 @@ def cmd_count(args) -> int:
             "counts": outcome.counts,
             "complete": outcome.complete,
             "nodes": outcome.nodes_explored,
+            "wall_time": round(outcome.wall_time, 3),
         }
     )
     for n, cnt in enumerate(outcome.counts):

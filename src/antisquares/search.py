@@ -1,15 +1,32 @@
-"""Exhaustive constrained backtracking over binary words.
+"""Exhaustive constrained search over binary words, one chunk of prefixes
+at a time.
 
-The engine maintains, for every distance p, the length of the maximal
-equality run and the maximal inequality run ending at the frontier:
+The words satisfying a ConstraintSet form a prefix-closed tree.  The engine
+walks it depth first, but the unit of the walk is a chunk: at most CHUNK
+prefixes of one length that are next to each other in lexicographic order.
+Each row of a chunk carries the state of its frontier:
 
-  * an equality run of length r at distance p means the last r+p letters
-    form a factor with period p (power violations);
-  * an inequality run of length >= k at distance k means the last 2k
-    letters are an antisquare of order k.
+  * for every distance p, the maximal equality run and inequality run
+    ending at the frontier (int16 while max_depth <= 32767).  An equality
+    run of length r at distance p means the last r+p letters have period p
+    (power bounds); an inequality run of length >= k at distance k means
+    the last 2k letters are an antisquare of order k;
+  * the state of the forbidden-factor automaton;
+  * the last 62 letters as an integer and the distinct antisquares met so
+    far as a fixed-width int64 row of tags (1<<k) | last k letters.  Orders
+    above 62 get exact negative ids from the engine's intern table.
 
-Both arrays update in O(1) vectorized work per appended letter, so every
-constraint is checked incrementally at the frontier.
+One expansion handles every child of a chunk with a few array operations.
+A child breaks a bound only where its parent's run is one short of it and
+the child's letter extends that run, so the power mask, the order-cap mask
+and the new antisquares come from the few such (row, distance) pairs of the
+parent; the automaton lookup and the new-tag membership test finish the
+checks.  Then the survivors' rows are built (match, run update) and pushed
+back as chunks, lowest on top.  So the chunks of each length are expanded in
+lexicographic order, and the first row of the first chunk to reach a length
+is the least valid word of that length.  A node is one attempted child, as
+in a letter-by-letter search, so a closed tree costs the same node count
+whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -17,8 +34,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,7 +46,19 @@ from .words import Word, complement_text
 DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_COUNT_BUDGET = 10**7
 
-CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v2"
+CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
+
+# Prefixes per chunk.  The stack holds up to a chunk of pending rows per
+# depth, so wider chunks trade memory for speed: on the search-trees
+# operations 128 and 256 ran 15% and 45% faster than 64 but raised the
+# process's peak memory by 4 and 8 MB.
+CHUNK = 64
+_TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
+_SUFFIX_MASK = (1 << _TAG_ORDER) - 1
+# the letter of child i of a chunk (its row is i >> 1)
+_LETTER = np.tile(np.array([0, 1], np.uint8), CHUNK)
+_TRY_ALL = np.ones(2 * CHUNK, bool)
+_TRY_ALL.flags.writeable = False
 
 
 class BudgetExceeded(Exception):
@@ -55,6 +84,8 @@ class ConstraintSet:
             and not self.forbidden_factors
         ):
             raise ValueError("at least one constraint is required")
+        if "" in self.forbidden_factors:
+            raise ValueError("a forbidden factor must be nonempty")
 
     @property
     def complement_closed(self) -> bool:
@@ -97,6 +128,7 @@ class CountOutcome:
     counts: list[int]
     complete: bool
     nodes_explored: int
+    wall_time: float = 0.0
 
 
 def check_word(c: ConstraintSet, w: Word) -> tuple[bool, Optional[Violation]]:
@@ -125,167 +157,252 @@ def check_word(c: ConstraintSet, w: Word) -> tuple[bool, Optional[Violation]]:
     return True, None
 
 
-class IncrementalChecker:
-    """Frontier validator: push/pop letters, all constraints checked on push.
+class _Rows:
+    """Prefixes of one length d, one per row, with their frontier state.
 
-    Per-worker object; not shareable.
+    back (R, d) holds the letters newest first, so that column p-1 of it and
+    of eq and ne is about the letter p back from the frontier.  eq and ne
+    hold the equality and inequality runs at distances 1..min(d, width); the
+    engine's width leaves out the distances at which no word up to max_depth
+    can break a bound.  While d <= width the last column, distance d, is 0:
+    no two letters of the prefix are that far apart.  state (R,) holds
+    automaton states; suffix (R,) the last letters as an integer, newest in
+    bit 0; tags (R, W) distinct-antisquare ids, the first ntags (R,) of them
+    in use; next (R,) the least letter not yet tried below each prefix.  A
+    field whose constraint is absent is None.
     """
 
-    def __init__(self, c: ConstraintSet, max_depth: int):
-        if c.alphabet_size != 2:
-            raise ValueError("the incremental engine works over the binary alphabet")
-        self.c = c
-        self.max_depth = max_depth
-        self.letters: list[int] = []
-        self.arr = np.zeros(max_depth, dtype=np.uint8)
-        # run arrays per depth: row L holds runs for the length-L word
-        self.eq = np.zeros((max_depth + 1, max_depth), dtype=np.int32)
-        self.ne = np.zeros((max_depth + 1, max_depth), dtype=np.int32)
-        self.p_arr = np.arange(1, max_depth + 1, dtype=np.int32)
-        if c.power is not None:
-            self.min_run = np.array(
-                [c.power.min_violating_run(p) for p in range(1, max_depth + 1)],
-                dtype=np.int32,
-            )
-        else:
-            self.min_run = None
-        self.distinct: set[str] = set()
-        self._added: list[list[str]] = []
-        by_len: dict[int, set[tuple[int, ...]]] = {}
-        for f in c.forbidden_factors:
-            by_len.setdefault(len(f), set()).add(tuple(ord(ch) - 48 for ch in f))
-        self.forbidden_by_len = sorted(by_len.items())
+    __slots__ = ("back", "eq", "ne", "state", "suffix", "tags", "ntags", "next")
 
-    def push(self, letter: int) -> bool:
-        """Append a letter; True iff the extended word satisfies everything.
-        The letter is kept either way; call pop() to undo."""
-        L = len(self.letters) + 1
-        self.letters.append(letter)
-        self.arr[L - 1] = letter
-        added: list[str] = []
-        self._added.append(added)
-        if L == 1:
-            return self._check_forbidden(L)
-        m = L - 1
-        match = self.arr[L - 2 :: -1][:m] == letter
-        prev_eq = self.eq[L - 1, :m]
-        prev_ne = self.ne[L - 1, :m]
-        cur_eq = self.eq[L, :m]
-        cur_ne = self.ne[L, :m]
-        np.add(prev_eq, 1, out=cur_eq)
-        np.multiply(cur_eq, match, out=cur_eq)
-        np.add(prev_ne, 1, out=cur_ne)
-        np.multiply(cur_ne, ~match, out=cur_ne)
+    def __init__(self, back, eq, ne, state, suffix, tags, ntags, next_letter):
+        self.back, self.eq, self.ne, self.state = back, eq, ne, state
+        self.suffix, self.tags, self.ntags, self.next = suffix, tags, ntags, next_letter
 
-        ok = True
-        if self.min_run is not None and (cur_eq >= self.min_run[:m]).any():
-            ok = False
-        half = L // 2
-        if ok and half >= 1:
-            cap = self.c.max_antisquare_order
-            if cap is not None:
-                lo = cap - 1
-                if lo < half and (cur_ne[lo:half] >= self.p_arr[lo:half]).any():
-                    ok = False
-            if ok and self.c.max_distinct_antisquares is not None:
-                hits = np.flatnonzero(cur_ne[:half] >= self.p_arr[:half])
-                if len(hits):
-                    letters = self.letters
-                    for k in (hits + 1).tolist():
-                        value = "".join(map(str, letters[L - 2 * k :]))
-                        if value not in self.distinct:
-                            self.distinct.add(value)
-                            added.append(value)
-                    if len(self.distinct) > self.c.max_distinct_antisquares:
-                        ok = False
-        if ok:
-            ok = self._check_forbidden(L)
-        return ok
+    def __len__(self) -> int:
+        return len(self.back)
 
-    def _check_forbidden(self, L: int) -> bool:
-        letters = self.letters
-        for flen, factors in self.forbidden_by_len:
-            if flen <= L and tuple(letters[L - flen :]) in factors:
-                return False
-        return True
+    def take(self, index) -> _Rows:
+        return _Rows(*[None if a is None else a[index] for a in (
+            self.back, self.eq, self.ne, self.state, self.suffix, self.tags, self.ntags, self.next)])
 
-    def pop(self) -> None:
-        self.letters.pop()
-        for value in self._added.pop():
-            self.distinct.discard(value)
+    def letters(self) -> np.ndarray:
+        """The prefixes, first letter first (a view)."""
+        return self.back[:, ::-1]
 
-    def word(self) -> Word:
-        return Word("".join(map(str, self.letters)), 2)
+    def texts(self) -> list[str]:
+        d = self.back.shape[1]
+        flat = (self.letters() + 48).tobytes().decode()
+        return [flat[i : i + d] for i in range(0, len(flat), d)] if d else [""] * len(self)
 
 
 class _DFS:
-    """Shared depth-first driver over the incremental checker."""
+    """Depth-first walk over chunks of same-length prefixes."""
 
     def __init__(self, c: ConstraintSet, max_depth: int, budget: int):
+        if c.alphabet_size != 2:
+            raise ValueError("the search engine works over the binary alphabet")
         self.c = c
-        self.checker = IncrementalChecker(c, max_depth)
         self.max_depth = max_depth
         self.budget = budget
         self.nodes = 0
-        self.next_letter = [0] * (max_depth + 1)
-        self.depth = 0
-        self.first_letter_limit = 1 if c.complement_closed else c.alphabet_size
-        # longest valid word reached so far (kept by longest_word); a
-        # checkpoint carries it, since a resumed run never revisits it
+        self.first_letter_limit = 1 if c.complement_closed else 2
+        # longest valid word reached so far; a checkpoint carries it, since a
+        # resumed run never revisits it
         self.best_text = ""
+        dtype = np.int16 if max_depth <= np.iinfo(np.int16).max else np.int32
+        distances = np.arange(1, max_depth + 1, dtype=dtype)
+        # a child gets an antisquare of order k where its parent's inequality
+        # run at distance k is k - 1 and the child's letter extends it; no
+        # word up to max_depth has an order above max_depth // 2, so rows keep
+        # the inequality runs of those distances only
+        self.ne_edge = distances - 1
+        self.ne_width = max_depth // 2
+        if c.power is not None:
+            # runs never reach max_depth, so clipping there keeps every comparison
+            min_run = np.array(
+                [min(c.power.min_violating_run(p), max_depth) for p in range(1, max_depth + 1)], dtype=dtype
+            )
+            self.eq_edge = min_run - 1  # likewise for the equality runs and the power bound
+            # a word of length L can break the bound only at distances p with
+            # p + min_run <= L, and p + min_run grows with p: check a prefix,
+            # and keep the equality runs of the distances that ever can
+            self.power_reach = np.searchsorted(distances + min_run.astype(np.int64), np.arange(max_depth + 2), "right")
+            self.eq_width = int(self.power_reach[max_depth])
+        self.transitions = None
+        if c.forbidden_factors:
+            from .enumeration import build_avoidance_automaton  # imported here: enumeration loads mpmath
 
-    def run(self, on_word, target: Optional[int] = None,
-            checkpoint_path: Optional[str] = None, checkpoint_every: int = 5_000_000) -> bool:
-        """Explore the whole tree in lexicographic order.
+            automaton = build_avoidance_automaton(sorted(c.forbidden_factors))
+            self.transitions = np.array(automaton.transitions, dtype=np.int32).reshape(-1, 2)
+        self.interned: dict[bytes, int] = {}  # antisquares of order > _TAG_ORDER -> negative ids
+        antisquares = c.max_antisquare_order is not None or c.max_distinct_antisquares is not None
+        counted = c.max_distinct_antisquares is not None
+        self.root = _Rows(
+            np.zeros((1, 0), np.uint8),
+            np.zeros((1, 0), dtype) if c.power is not None else None,
+            np.zeros((1, 0), dtype) if antisquares else None,
+            np.zeros(1, np.int32) if c.forbidden_factors else None,
+            np.zeros(1, np.int64) if counted else None,
+            np.zeros((1, c.max_distinct_antisquares), np.int64) if counted else None,
+            np.zeros(1, np.int64) if counted else None,
+            np.zeros(1, np.uint8),
+        )
+        self.stack: list[_Rows] = [self.root] if max_depth > 0 else []
 
-        on_word(depth) is called for every valid word reached.  Returns True
-        iff the tree was fully explored within budget (or the target depth
-        was reached, when target is set).
+    def _step(self, rows: _Rows, tried: np.ndarray) -> _Rows:
+        """The valid children among the tried ones, in lexicographic order;
+        child 2i + a appends letter a to row i.
+
+        The checks read the parent's runs: a child reaches a bound at
+        distance p only where its parent's run there is one short of it and
+        the child's letter extends that run, so only those few (row,
+        distance) pairs are looked at.  The survivors' rows are built last.
         """
-        checker = self.checker
-        next_letter = self.next_letter
+        c = self.c
+        R, d = rows.back.shape
+        n, half = 2 * R, (d + 1) // 2
+        back = rows.back
+        bad = ~tried
+        state = None
+        if rows.eq is not None:
+            reach = self.power_reach[d + 1]
+            r, p = np.divmod(np.flatnonzero(rows.eq[:, :reach] >= self.eq_edge[:reach]), reach)
+            bad[2 * r + back[r, p]] = True  # the child equal to the letter p+1 back
+        if rows.state is not None:
+            state = self.transitions[rows.state].reshape(n)
+            bad |= state < 0
+        if rows.ne is not None:
+            # antisquares of order k+1 ending at a child: the one whose letter
+            # differs from the letter k+1 back
+            r, k = np.divmod(np.flatnonzero(rows.ne[:, :half] >= self.ne_edge[:half]), half)
+            child = 2 * r + 1 - back[r, k]
+            if c.max_antisquare_order is not None:
+                bad[child[k >= c.max_antisquare_order - 1]] = True
+            if rows.tags is not None:
+                count, child, ids = self._count_antisquares(rows, r, k, child)
+                bad |= count > c.max_distinct_antisquares
+        alive = np.flatnonzero(~bad)
+        parent = alive >> 1
+        letter = (alive & 1).astype(np.uint8)
+        S = len(alive)
+        grown = np.empty((S, d + 1), np.uint8)
+        grown[:, 0] = letter
+        grown[:, 1:] = back[parent]
+        match = grown[:, 1:] == letter[:, None]
+        eq = None if rows.eq is None else self._grow(rows.eq, parent, match, self.eq_width)
+        ne = None if rows.ne is None else self._grow(rows.ne, parent, np.logical_not(match, out=match), self.ne_width)
+        suffix = tags = ntags = None
+        if state is not None:
+            state = state[alive]
+        if rows.tags is not None:
+            suffix = ((rows.suffix[parent] << 1) | letter) & _SUFFIX_MASK
+            tags, ntags = rows.tags[parent], count[alive]
+            if len(child):
+                # the new ids of each surviving child go to its next free slots
+                keep = ~bad[child]
+                child, ids = child[keep], ids[keep]
+                order = np.argsort(child, kind="stable")
+                child, ids = child[order], ids[order]
+                row = np.searchsorted(alive, child)
+                rank = np.arange(len(child)) - np.searchsorted(child, child)
+                tags[row, rows.ntags[child >> 1] + rank] = ids
+        return _Rows(grown, eq, ne, state, suffix, tags, ntags, np.zeros(S, np.uint8))
+
+    @staticmethod
+    def _grow(runs: np.ndarray, parent: np.ndarray, extend: np.ndarray, width: int) -> np.ndarray:
+        """The children's runs: a parent's run plus one where the child's
+        letter extends it, else 0, and a new 0 column for the next distance
+        while the row is narrower than width."""
+        w = runs.shape[1]
+        extended = runs[parent]
+        extended += 1
+        if w == width:
+            extended *= extend[:, :w]
+            return extended
+        grown = np.empty((len(parent), w + 1), runs.dtype)
+        np.multiply(extended, extend[:, :w], out=grown[:, :w])
+        grown[:, w] = 0
+        return grown
+
+    def _count_antisquares(self, rows, r, k, child):
+        """Given the antisquares of order k+1 that end at child (a child of
+        row r), the number of distinct antisquares of every child and the
+        (child, id) pairs of the ones new to it."""
+        letter, order = child & 1, k + 1
+        # the tag (1 << order) | the child's last `order` letters, newest in bit 0
+        big = rows.back.shape[1] + 1 >= 2 * (_TAG_ORDER + 1)  # children long enough for a larger order
+        bit = np.int64(1) << (np.minimum(order, _TAG_ORDER) if big else order)
+        ids = bit | (((rows.suffix[r] << 1) | letter) & (bit - 1))
+        if big:
+            for i in np.flatnonzero(order > _TAG_ORDER).tolist():
+                key = bytes([letter[i]]) + rows.back[r[i], : k[i]].tobytes()
+                ids[i] = self.interned.setdefault(key, -1 - len(self.interned))
+        new = ~(rows.tags[r] == ids[:, None]).any(axis=1)
+        child, ids = child[new], ids[new]
+        count = rows.ntags.repeat(2) + np.bincount(child, minlength=2 * len(rows))
+        return count, child, ids
+
+    def run(self, on_level: Optional[Callable[[np.ndarray], None]] = None, target: Optional[int] = None,
+            checkpoint_path: Optional[str] = None, checkpoint_every: int = 5_000_000) -> bool:
+        """Walk the rest of the tree, chunks of each length in lexicographic order.
+
+        on_level(letters) gets the valid children of every expansion, one
+        word per row, all of one length and in lexicographic order.  Returns
+        True iff the tree was closed within budget (or, with target set, a
+        word of the target length was reached).
+        """
+        stack = self.stack
         since_checkpoint = 0
-        while True:
-            if self.depth == self.max_depth:
-                a = 2  # force backtrack at the depth cap
-            else:
-                a = next_letter[self.depth]
-            limit = self.first_letter_limit if self.depth == 0 else self.c.alphabet_size
-            if a >= limit:
-                if self.depth == 0:
-                    return True
-                checker.pop()
-                self.depth -= 1
-                continue
-            # budget check precedes the next_letter advance so that an
-            # aborted node is re-attempted after a checkpoint resume
-            if self.nodes >= self.budget:
+        while stack:
+            room = self.budget - self.nodes
+            if room <= 0:
                 return False
-            next_letter[self.depth] += 1
-            self.nodes += 1
-            since_checkpoint += 1
-            ok = checker.push(a)
-            if ok:
-                self.depth += 1
-                next_letter[self.depth] = 0
-                on_word(self.depth)
-                if target is not None and self.depth >= target:
-                    return True
+            rows = stack.pop()
+            d = rows.back.shape[1]
+            if d and not rows.next.any():
+                tried, count = _TRY_ALL[: 2 * len(rows)], 2 * len(rows)
             else:
-                checker.pop()
+                letter = _LETTER[: 2 * len(rows)]
+                tried = (letter >= rows.next.repeat(2)) & (letter < (self.first_letter_limit if d == 0 else 2))
+                count = int(np.count_nonzero(tried))
+            if count > room:
+                # the budget ends inside this chunk: keep the rows with untried
+                # children, each with the first letter not tried
+                untried = np.flatnonzero(tried)[room:]
+                tried = tried.copy()
+                tried[untried] = False
+                first = untried[np.flatnonzero(np.diff(untried >> 1, prepend=-1))]
+                rest = rows.take(first >> 1)
+                rest.next = _LETTER[first]
+                stack.append(rest)
+                count = room
+            self.nodes += count
+            since_checkpoint += count
+            children = self._step(rows, tried)
+            if len(children):
+                if on_level is not None:
+                    on_level(children.letters())
+                if d + 1 > len(self.best_text):
+                    self.best_text = children.texts()[0]
+                if target is not None and d + 1 >= target:
+                    return True
+                if d + 1 < self.max_depth:
+                    for start in reversed(range(0, len(children), CHUNK)):
+                        stack.append(children.take(slice(start, start + CHUNK)))
             if checkpoint_path and since_checkpoint >= checkpoint_every:
                 since_checkpoint = 0
                 self.save_checkpoint(checkpoint_path)
+        return True
 
     def save_checkpoint(self, path: str) -> None:
         """Write the search state atomically: a temporary file is made
-        durable and then renamed over path."""
+        durable and then renamed over path.  The chunk stack is stored bottom
+        first, each chunk as [prefix, next letter] rows."""
         state = {
             "magic": CHECKPOINT_MAGIC,
             "constraints": self.c.describe(),
             "max_depth": self.max_depth,
-            "letters": "".join(map(str, self.checker.letters)),
-            "next_letter": self.next_letter[: self.depth + 1],
+            "stack": [[[t, a] for t, a in zip(rows.texts(), rows.next.tolist())] for rows in self.stack],
             "nodes": self.nodes,
             "best_witness": self.best_text,
         }
@@ -297,43 +414,80 @@ class _DFS:
         os.replace(tmp, path)
 
     def restore(self, path: str) -> None:
-        """Load a checkpoint; ValueError if it is not one, was written
-        under other constraints or another max_depth, or is corrupt."""
+        """Load a checkpoint; ValueError if it is not one of this format, was
+        written under other constraints or another max_depth, or is corrupt."""
         with open(path) as fh:
             state = json.load(fh)  # malformed text raises a ValueError subclass
         if not isinstance(state, dict) or state.get("magic") != CHECKPOINT_MAGIC:
-            raise ValueError("not a search checkpoint file")
+            raise ValueError(f"not a search checkpoint file of format {CHECKPOINT_MAGIC}")
         if state.get("constraints") != self.c.describe():
             raise ValueError("checkpoint was produced under different constraints")
         if state.get("max_depth") != self.max_depth:
             raise ValueError(
                 f"checkpoint was produced with max_depth {state.get('max_depth')}, not {self.max_depth}"
             )
-        letters, next_letter = state.get("letters"), state.get("next_letter")
-        nodes, best = state.get("nodes"), state.get("best_witness")
+        stack, nodes, best = state.get("stack"), state.get("nodes"), state.get("best_witness")
 
-        def valid(text) -> bool:
-            if not isinstance(text, str) or len(text) > self.max_depth or not set(text) <= {"0", "1"}:
+        def binary(text) -> bool:
+            return isinstance(text, str) and set(text) <= {"0", "1"}
+
+        def chunk_ok(chunk) -> bool:
+            if not (isinstance(chunk, list) and 1 <= len(chunk) <= CHUNK
+                    and all(isinstance(row, list) and len(row) == 2 for row in chunk)):
                 return False
-            checker = IncrementalChecker(self.c, self.max_depth)
-            return all(checker.push(ord(ch) - 48) for ch in text)
+            d = len(chunk[0][0]) if binary(chunk[0][0]) else -1
+            limit = self.first_letter_limit if d == 0 else 2
+            return 0 <= d < self.max_depth and all(
+                binary(t) and len(t) == d and (self.first_letter_limit == 2 or not t.startswith("1"))
+                and type(a) is int and 0 <= a < limit for t, a in chunk
+            ) and all(u[0] < v[0] for u, v in zip(chunk, chunk[1:]))  # rows strictly increase
 
         if not (
-            valid(letters)
-            and valid(best)
-            and isinstance(next_letter, list)
-            and len(next_letter) == len(letters) + 1
-            and all(type(a) is int and 0 <= a <= self.c.alphabet_size for a in next_letter)
+            isinstance(stack, list)
+            and all(map(chunk_ok, stack))
+            and binary(best)
+            and len(best) <= self.max_depth
             and type(nodes) is int
             and nodes >= 0
         ):
             raise ValueError("corrupt checkpoint")
-        for ch in letters:
-            self.checker.push(ord(ch) - 48)
-        self.depth = len(letters)
-        self.next_letter[: self.depth + 1] = next_letter
+        groups, position = self._replay([t for chunk in stack for t, _ in chunk] + [best])
+        self.stack, i = [], 0
+        for chunk in stack:
+            rows = groups[len(chunk[0][0])].take(position[i : i + len(chunk)])
+            rows.next = np.array([a for _, a in chunk], np.uint8)
+            self.stack.append(rows)
+            i += len(chunk)
         self.nodes = nodes
         self.best_text = best
+
+    def _replay(self, texts: list[str]) -> tuple[dict[int, _Rows], list[int]]:
+        """Rebuild the rows of the given prefixes through the same step.
+
+        Returns the rows of each length and the position of every text among
+        those of its length; ValueError if a prefix breaks the constraints.
+        """
+        order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))
+        lengths = np.array([len(texts[i]) for i in order])
+        letters = np.zeros((len(texts), lengths[0]), np.uint8)
+        for r, i in enumerate(order):
+            letters[r, : lengths[r]] = np.frombuffer(texts[i].encode(), np.uint8) - 48
+        rows = self.root.take(np.zeros(len(texts), np.intp))
+        groups, position = {}, [0] * len(texts)
+        for d in range(lengths[0] + 1):
+            live = int(np.count_nonzero(lengths > d))
+            if live < len(rows):
+                groups[d] = rows.take(slice(live, None))
+                for pos, r in enumerate(range(live, len(rows))):
+                    position[order[r]] = pos
+            if not live:
+                break
+            tried = np.zeros(2 * live, bool)
+            tried[2 * np.arange(live) + letters[:live, d]] = True
+            rows = self._step(rows.take(slice(0, live)), tried)
+            if len(rows) < live:
+                raise ValueError("corrupt checkpoint: a stored prefix breaks the constraints")
+        return groups, position
 
 
 def longest_word(
@@ -348,19 +502,15 @@ def longest_word(
 
     The witness is the lexicographically least maximal-length word (starting
     with 0 under the complement symmetry).  exhausted=True iff the whole tree
-    was closed within budget.  With target set, the search stops as soon as a
-    word of that length is found (exhausted then just means "target reached").
+    was closed within budget.  With target set, the search stops at the
+    first chunk that reaches that length (exhausted then just means "target
+    reached").
     """
     start = time.monotonic()
     dfs = _DFS(c, max_depth, budget)
     if resume_from:
         dfs.restore(resume_from)
-
-    def on_word(depth: int) -> None:
-        if depth > len(dfs.best_text):
-            dfs.best_text = dfs.checker.word().text
-
-    done = dfs.run(on_word, target=target, checkpoint_path=checkpoint_path)
+    done = dfs.run(target=target, checkpoint_path=checkpoint_path)
     if not done and checkpoint_path:
         dfs.save_checkpoint(checkpoint_path)
     return SearchOutcome(
@@ -381,18 +531,19 @@ def count_by_length(
     counts are doubled.  If the budget runs out the series is flagged
     incomplete (counts are then partial and unreliable).
     """
+    start = time.monotonic()
     dfs = _DFS(c, n_max, budget)
     counts = [0] * (n_max + 1)
     counts[0] = 1  # empty word satisfies every factorial constraint
 
-    def on_word(depth: int) -> None:
-        counts[depth] += 1
+    def on_level(letters: np.ndarray) -> None:
+        counts[letters.shape[1]] += len(letters)
 
-    complete = dfs.run(on_word)
+    complete = dfs.run(on_level)
     if c.complement_closed:
         for i in range(1, n_max + 1):
             counts[i] *= 2
-    return CountOutcome(counts, complete, dfs.nodes)
+    return CountOutcome(counts, complete, dfs.nodes, time.monotonic() - start)
 
 
 def extendable_cores(
@@ -411,12 +562,12 @@ def extendable_cores(
     dfs = _DFS(c, total, budget)
     cores: set[str] = set()
 
-    def on_word(depth: int) -> None:
-        if depth == total:
-            text = "".join(map(str, dfs.checker.letters))
-            cores.add(text[pad_len : pad_len + core_len])
+    def on_level(letters: np.ndarray) -> None:
+        if letters.shape[1] == total:
+            flat = (letters[:, pad_len : pad_len + core_len] + 48).tobytes().decode()
+            cores.update(flat[i : i + core_len] for i in range(0, len(flat), core_len))
 
-    complete = dfs.run(on_word)
+    complete = dfs.run(on_level)
     if not complete:
         raise BudgetExceeded("extendable_cores ran out of node budget; result would be unsound")
     out = {Word(t, c.alphabet_size) for t in cores}

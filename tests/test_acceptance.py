@@ -24,8 +24,9 @@ from antisquares.enumeration import (
     verify_pansiot_recurrence,
 )
 from antisquares.repetitions import PowerBound
-from antisquares.search import ConstraintSet, _DFS, count_by_length, extendable_cores, longest_word
+from antisquares.search import ConstraintSet, count_by_length, extendable_cores, longest_word
 from antisquares.words import Word, complement_text, factor_texts
+from search_reference import _DFS
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:

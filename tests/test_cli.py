@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import search_reference
 from antisquares.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -10,6 +11,8 @@ from antisquares.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from antisquares.repetitions import PowerBound
+from antisquares.search import ConstraintSet
 
 
 def run(capsys, *argv):
@@ -85,6 +88,7 @@ def test_count(capsys):
     code, records, _ = run(capsys, "count", "--beta", "2", "--n-max", "5")
     assert code == EXIT_OK
     assert records[0]["counts"] == [1, 2, 2, 2, 0, 0]
+    assert records[0]["wall_time"] >= 0
 
 
 def test_verify_morphism_single(capsys):
@@ -139,6 +143,17 @@ def test_search_resume_from_garbage_is_usage_error(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text("{}")
     code, _, _ = run(capsys, "search", "--beta", "2", "--resume", str(path))
+    assert code == EXIT_USAGE
+
+
+def test_search_resume_from_v2_checkpoint_is_usage_error(tmp_path, capsys):
+    # a checkpoint of the letter-by-letter engine (format v2) is not resumed
+    c = ConstraintSet(power=PowerBound.parse("2"))
+    path = str(tmp_path / "v2.ckpt")
+    old = search_reference._DFS(c, 512, 2)
+    old.run(lambda depth: None)
+    old.save_checkpoint(path)
+    code, _, _ = run(capsys, "search", "--beta", "2", "--resume", path)
     assert code == EXIT_USAGE
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import search_reference
 from antisquares.repetitions import PowerBound
 from antisquares.search import (
     BudgetExceeded,
     ConstraintSet,
-    IncrementalChecker,
     check_word,
     count_by_length,
     extendable_cores,
     longest_word,
 )
-from antisquares.words import Word
+from antisquares.words import Word, complement_text
+from search_reference import IncrementalChecker
 
 SQUAREFREEISH = ConstraintSet(power=PowerBound.parse("2"))
 GOOD = ConstraintSet(max_antisquare_order=2)
@@ -30,6 +32,8 @@ def brute_ok(c: ConstraintSet, t: str) -> bool:
 def test_constraint_set_requires_something():
     with pytest.raises(ValueError):
         ConstraintSet()
+    with pytest.raises(ValueError):
+        ConstraintSet(forbidden_factors=frozenset({""}))
 
 
 def test_constraint_set_describe():
@@ -141,6 +145,8 @@ def test_count_without_symmetry():
 def test_budget_flagged():
     out = count_by_length(GOOD, 30, budget=50)
     assert not out.complete
+    assert out.nodes_explored == 50
+    assert out.wall_time >= 0
 
 
 def test_target_short_circuits():
@@ -171,6 +177,19 @@ def test_checkpoint_roundtrip(tmp_path):
         assert not os.path.exists(path + ".tmp")
 
 
+def test_checkpoint_resume_with_many_rows(tmp_path):
+    # a wide tree leaves more rows on the stack than one chunk holds
+    path = str(tmp_path / "state.json")
+    full = longest_word(GOOD, max_depth=20)
+    partial = longest_word(GOOD, budget=full.nodes_explored // 2, max_depth=20, checkpoint_path=path)
+    with open(path) as fh:
+        assert sum(map(len, json.load(fh)["stack"])) > 64
+    resumed = longest_word(GOOD, max_depth=20, resume_from=path)
+    assert not partial.exhausted and resumed.exhausted
+    assert (resumed.max_length, resumed.witness, resumed.nodes_explored) == (
+        full.max_length, full.witness, full.nodes_explored)
+
+
 def test_checkpoint_rejects_other_constraints(tmp_path):
     path = str(tmp_path / "state.json")
     longest_word(GOOD, budget=100, max_depth=32, checkpoint_path=path)
@@ -180,18 +199,34 @@ def test_checkpoint_rejects_other_constraints(tmp_path):
         longest_word(GOOD, max_depth=16, resume_from=path)
     with open(path) as fh:
         state = json.load(fh)
+    # one case per field of a v3 checkpoint
     corrupt = [
         {k: v for k, v in state.items() if k != "best_witness"},
-        {k: v for k, v in state.items() if k != "nodes"},
         {**state, "best_witness": "0110"},  # an antisquare of order 2
         {**state, "best_witness": "012"},
-        {**state, "letters": 7},
-        {**state, "next_letter": ["0"] * len(state["next_letter"])},
+        {k: v for k, v in state.items() if k != "nodes"},
+        {**state, "nodes": -1},
+        {k: v for k, v in state.items() if k != "stack"},
+        {**state, "stack": 7},
+        {**state, "stack": [[]]},  # an empty chunk
+        {**state, "stack": [[["0", 0]] * 65]},  # more rows than a chunk holds
+        {**state, "stack": [[["0110", 0]]]},  # a prefix with an antisquare of order 2
+        {**state, "stack": [[["01", 0], ["010", 0]]]},  # rows of one chunk differ in length
+        {**state, "stack": [[["01", 0], ["01", 0]]]},  # a row twice
+        {**state, "stack": [[["01", 2]]]},  # no letter left to try
+        {**state, "stack": [[["", 1]]]},  # the symmetry tries only 0 first
+        {**state, "stack": [[["10", 0]]]},  # ... so no prefix starts with 1
+        {**state, "stack": [[["0" * 32, 0]]]},  # a prefix at max_depth
     ]
     for bad in corrupt:
         with open(path, "w") as fh:
             json.dump(bad, fh)
         with pytest.raises(ValueError, match="corrupt"):
+            longest_word(GOOD, max_depth=32, resume_from=path)
+    for magic in (None, "antisquares-dfs-checkpoint-v2"):
+        with open(path, "w") as fh:
+            json.dump({**state, "magic": magic}, fh)
+        with pytest.raises(ValueError, match="not a search checkpoint"):
             longest_word(GOOD, max_depth=32, resume_from=path)
     with open(path, "w") as fh:
         fh.write("not json")
@@ -214,3 +249,104 @@ def test_extendable_cores_small():
 def test_extendable_cores_budget():
     with pytest.raises(BudgetExceeded):
         extendable_cores(GOOD, 4, 4, budget=10)
+
+
+def test_v2_checkpoint_is_rejected(tmp_path):
+    # a checkpoint written by the letter-by-letter engine cannot be resumed
+    path = str(tmp_path / "v2.json")
+    old = search_reference._DFS(GOOD, 32, 100)
+    assert not old.run(lambda depth: None)
+    old.save_checkpoint(path)
+    with pytest.raises(ValueError, match="not a search checkpoint"):
+        longest_word(GOOD, max_depth=32, resume_from=path)
+
+
+def reference_tree(c: ConstraintSet, max_depth: int):
+    """Valid words per length, least longest word and node count of the
+    letter-by-letter reference over the whole tree."""
+    dfs = search_reference._DFS(c, max_depth, 10**9)
+    counts = [0] * (max_depth + 1)
+
+    def on_word(depth):
+        counts[depth] += 1
+        if depth > len(dfs.best_text):
+            dfs.best_text = dfs.checker.word().text
+
+    assert dfs.run(on_word)
+    return counts, dfs.best_text, dfs.nodes
+
+
+CORE_FORBIDDEN = frozenset(
+    {
+        "0011", "0110", "1100", "1001", "010101", "101010",
+        "0001011101", "1011101000", "101110111011101", "010001000100010",
+    }
+)
+
+
+def random_forbidden_sets(count: int, seed: int) -> list[frozenset]:
+    """Seeded sets of 2-3 patterns of length 2-5 that are not complement-closed."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        patterns = frozenset(
+            "".join(rng.choice("01") for _ in range(rng.randint(2, 5))) for _ in range(rng.randint(2, 3))
+        )
+        if not ConstraintSet(forbidden_factors=patterns).complement_closed:
+            sets.append(patterns)
+    return sets
+
+
+def beta(text: str) -> PowerBound:
+    return PowerBound.parse(text)
+
+
+# (constraints, max_depth): every acceptance constraint set, cut to a depth
+# where the reference closes its tree in about a second
+AGREEMENT_CASES = [
+    *[(ConstraintSet(power=beta(b), max_antisquare_order=k), 64) for k, b in [(4, "8/3"), (5, "5/2"), (6, "7/3")]],
+    *[(ConstraintSet(power=beta(b), max_distinct_antisquares=k), 64) for k, b in [(5, "3"), (8, "8/3"), (16, "7/3")]],
+    *[(ConstraintSet(power=beta(b), max_distinct_antisquares=k), 30) for k, b in [(9, "38/15"), (14, "5/2"), (15, "17/7")]],
+    (ConstraintSet(power=PowerBound(Fraction(15, 4), forbid_equal=True), max_antisquare_order=2), 60),
+    (ConstraintSet(power=PowerBound(Fraction(15, 4), forbid_equal=False), max_antisquare_order=2), 40),
+    (ConstraintSet(power=beta("4"), forbidden_factors=CORE_FORBIDDEN), 40),
+    (GOOD, 18),
+    *[(ConstraintSet(forbidden_factors=f), 12) for f in random_forbidden_sets(8, seed=3)],
+    # alternating words: antisquares of every odd order below the cap, past 62
+    *[(ConstraintSet(forbidden_factors=frozenset({"00", "11"}), max_distinct_antisquares=k), 200) for k in (60, 70, 80)],
+]
+
+
+@pytest.mark.parametrize("c,max_depth", AGREEMENT_CASES, ids=[f"{c.describe()}@{n}" for c, n in AGREEMENT_CASES])
+def test_engine_matches_reference(c, max_depth):
+    counts, best, nodes = reference_tree(c, max_depth)
+    factor = 2 if c.complement_closed else 1
+    got = count_by_length(c, max_depth, budget=10**9)
+    assert got.complete and got.nodes_explored == nodes
+    assert got.counts == [1] + [factor * n for n in counts[1:]]
+    out = longest_word(c, max_depth=max_depth)
+    assert (out.max_length, out.witness.text, out.nodes_explored, out.exhausted) == (len(best), best, nodes, True)
+
+
+def test_long_antisquare_orders_give_exact_lengths():
+    # a word avoiding 00 and 11 alternates, so at length n it has the
+    # antisquares of every odd order k with 2k <= n, two of each while 2k < n
+    for cap, length in ((60, 121), (70, 141), (80, 161)):
+        c = ConstraintSet(forbidden_factors=frozenset({"00", "11"}), max_distinct_antisquares=cap)
+        assert longest_word(c, max_depth=200).max_length == length
+
+
+def test_extendable_cores_match_reference():
+    core, pad = 10, 10
+    total = core + 2 * pad
+    c = ConstraintSet(power=beta("4"), forbidden_factors=CORE_FORBIDDEN)
+    dfs = search_reference._DFS(c, total, 10**9)
+    want = set()
+
+    def on_word(depth):
+        if depth == total:
+            text = dfs.checker.word().text[pad : pad + core]
+            want.update({text, complement_text(text)})
+
+    assert dfs.run(on_word)
+    assert {w.text for w in extendable_cores(c, core, pad)} == want
