@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import search_reference
 from antisquares.repetitions import PowerBound
 from antisquares.search import (
+    CHUNK,
     BudgetExceeded,
     ConstraintSet,
     check_word,
@@ -183,7 +184,7 @@ def test_checkpoint_resume_with_many_rows(tmp_path):
     full = longest_word(GOOD, max_depth=20)
     partial = longest_word(GOOD, budget=full.nodes_explored // 2, max_depth=20, checkpoint_path=path)
     with open(path) as fh:
-        assert sum(map(len, json.load(fh)["stack"])) > 64
+        assert sum(map(len, json.load(fh)["stack"])) > CHUNK
     resumed = longest_word(GOOD, max_depth=20, resume_from=path)
     assert not partial.exhausted and resumed.exhausted
     assert (resumed.max_length, resumed.witness, resumed.nodes_explored) == (
@@ -209,7 +210,7 @@ def test_checkpoint_rejects_other_constraints(tmp_path):
         {k: v for k, v in state.items() if k != "stack"},
         {**state, "stack": 7},
         {**state, "stack": [[]]},  # an empty chunk
-        {**state, "stack": [[["0", 0]] * 65]},  # more rows than a chunk holds
+        {**state, "stack": [[[f"{i:08b}", 0] for i in range(CHUNK + 1)]]},  # more rows than a chunk holds
         {**state, "stack": [[["0110", 0]]]},  # a prefix with an antisquare of order 2
         {**state, "stack": [[["01", 0], ["010", 0]]]},  # rows of one chunk differ in length
         {**state, "stack": [[["01", 0], ["01", 0]]]},  # a row twice
