@@ -50,9 +50,9 @@ CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
 
 # Prefixes per chunk.  The stack holds up to a chunk of pending rows per
 # depth, so wider chunks trade memory for speed: on the search-trees
-# benchmark (seed 2) 128 and 256 rows took 3.0 and 2.1 s per iteration
-# against 4.0 s, but raised its peak RSS from 41.6 MB (as before the chunk
-# walk) to 42.2 and 43.1 MB.
+# benchmark (seed 2, 2-vCPU VM) 128 and 256 rows took 3.0 and 2.1 s per
+# iteration against 4.0 s for 64, but raised the peak RSS from 41.6 MB to
+# 42.2 and 43.1 MB.
 CHUNK = 64
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
