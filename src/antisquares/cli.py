@@ -65,7 +65,10 @@ def _constraints(args) -> search.ConstraintSet:
 def cmd_analyze(args) -> int:
     failures = 0
     for w in _read_words(args.word):
-        cexp, witness = critical_exponent(w)
+        try:
+            cexp, witness = critical_exponent(w)
+        except ValueError as exc:  # an empty word, or one past the suffix sorting cap
+            raise UsageError(f"cannot analyze a word of {len(w)} letters: {exc}") from exc
         inv = inventory(w)
         record = {
             "word": w.text,

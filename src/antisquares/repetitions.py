@@ -1,7 +1,8 @@
 """Exact period and exponent machinery for finite words.
 
-All freeness decisions use exact rational arithmetic (fractions.Fraction);
-floating point never enters a comparison.
+All freeness decisions and exponent comparisons are exact, in rational
+(fractions.Fraction) or integer arithmetic; floating point never enters a
+comparison.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ class PowerBound:
         return max(s - period, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Repetition:
-    """A periodic factor w[start : start+length] with the given period."""
+    """A periodic factor w[start : start+length] with the given period.
+
+    Slotted, since a long word can have tens of thousands of them."""
 
     start: int
     period: int
@@ -129,21 +132,270 @@ def _has_run(eq: np.ndarray, min_run: int) -> bool:
     return bool(r.any())
 
 
-def _match_runs(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of positions i with arr[i] == arr[i+p]."""
-    return _runs_of(arr[:-p] == arr[p:])
+_CODES = bytes.maketrans(b"$012", b"\x00\x01\x02\x03")
+
+
+def _suffix_ranks(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, suffix array) of `text` as int32 arrays, by prefix doubling.
+
+    `text` is over "$012" and ends with its only '$', so that all suffixes
+    differ.  The first round sorts the suffixes by their first 16 letters,
+    2 bits each, with '$' and the space past the end both 0: a window that
+    reaches '$' ends there.  Round h then sorts them by the pair (rank of
+    the first h letters, rank of the next h), 0 past the end.  The sort key
+    packs a round's value and the position into one int64, which caps the
+    text at 2**21 - 1 letters.
+    """
+    n = len(text)
+    bits = n.bit_length()
+    if 3 * bits > 63:
+        raise ValueError(f"suffix sorting is limited to {2**21 - 2} letters, got {n - 1}")
+    key = np.frombuffer(text.translate(_CODES), dtype=np.uint8).astype(np.int64)
+    for s in 1, 2, 4, 8:  # key[i]: the codes of text[i : i + 2*s]
+        wider = key << 2 * s
+        wider[:-s] |= key[s:]
+        key = wider
+    del wider
+    rank = np.empty(n, dtype=np.int32)
+    sa = np.empty(n, dtype=np.int32)
+    h = 16
+    while True:
+        key <<= bits
+        key |= np.arange(n, dtype=np.int32)
+        key.sort()
+        np.bitwise_and(key, (1 << bits) - 1, out=sa, casting="unsafe")
+        key >>= bits
+        new_value = key[1:] != key[:-1]
+        dense = key.view(np.int32)[:n]  # the values are spent: reuse their buffer
+        dense[0] = 1
+        dense[1:] = new_value
+        del new_value
+        np.add.accumulate(dense, out=dense)
+        rank[sa] = dense
+        del key, dense
+        if rank[sa[-1]] == n:
+            rank -= 1
+            return rank, sa
+        key = rank.astype(np.int64)
+        key <<= bits
+        key[:-h] |= rank[h:]
+        h *= 2
+
+
+def _lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """lcp[r] = longest common prefix of the suffixes of rank r-1 and r.
+
+    Kasai et al. (CPM 2001) in text order: the suffix before i+1 in rank
+    order shares at least one letter fewer with it than i with its own.  The
+    unique last letter of `text` stops every comparison inside the text.
+    """
+    n = len(text) - 1
+    phi = np.empty(n + 1, dtype=np.int32)  # phi[i]: the suffix ranked just below i
+    phi[sa[1:]] = sa[:-1]
+    plcp = np.zeros(n + 1, dtype=np.int32)
+    out = memoryview(plcp)
+    h = 0
+    for i, j in enumerate(memoryview(phi)[:n]):  # suffix n ('$') ranks first
+        while text[i + h] == text[j + h]:
+            h += 1
+        out[i] = h
+        if h:
+            h -= 1
+    del phi
+    return plcp[sa]
+
+
+def _lyndon_roots(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) as int32 arrays for the longest Lyndon words word[i:j] of two
+    letters or more, where rank orders the suffixes of word$ ('$' last and
+    least) with a proper prefix first.
+
+    j is the least j > i with rank[j] < rank[i] (Hohlweg and Reutenauer,
+    2003), found by following the answers already known for i+1, ...
+    """
+    n = len(rank) - 1
+    nxt = np.empty(n + 1, dtype=np.int32)
+    out, r = memoryview(nxt), memoryview(rank)
+    for i in range(n - 1, -1, -1):
+        ri = r[i]
+        j = i + 1
+        while r[j] > ri:
+            j = out[j]
+        out[i] = j
+    root = ((nxt[:n] - np.arange(n, dtype=np.int32)) > 1).nonzero()[0]
+    return root.astype(np.int32), nxt[root]
+
+
+_BLOCK = 1 << 14  # queries and table entries per numpy call in _lce
+
+
+def _lce(rank: np.ndarray, lcp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Longest common prefix of the suffixes at a[q] and b[q] (a[q] != b[q]),
+    for every q at once: the minimum of lcp over the ranks first..last
+    between them.
+
+    Offline sparse table: level t holds the minima of lcp over windows of
+    2**t ranks and overwrites level t-1 in place, so lcp is consumed; a
+    query whose range is 2**t to 2**(t+1) - 1 ranks long takes the minimum
+    of the two windows of level t at its ends.  Table updates and queries
+    go a block at a time, which bounds the temporaries.
+    """
+    first, last = rank[a], rank[b]
+    span = last - first
+    np.minimum(first, last, out=first)
+    np.abs(span, out=span)  # lcp[first+1 : first+span+1] lies between
+    level = np.zeros(len(a), dtype=np.int8)  # floor(log2(span))
+    for t in range(1, int(span.max(initial=0)).bit_length()):
+        level += span >= 1 << t
+    np.add(first, span, out=last)
+    del span
+    last += 1
+    last -= np.left_shift(1, level, dtype=np.int32)  # the window that ends the range
+    first += 1  # the window that starts it
+    out = np.empty(len(a), dtype=np.int32)
+    size = len(lcp)
+    for t in range(int(level.max(initial=-1)) + 1):
+        if t:
+            # lcp[x] = min(lcp[x], lcp[x + half]): a block reads only itself
+            # and the next one, which is still unwritten
+            half = 1 << (t - 1)
+            size -= half
+            for x in range(0, size, _BLOCK):
+                block = lcp[x : min(x + _BLOCK, size)]
+                np.minimum(block, lcp[x + half : x + half + len(block)], out=block)
+        for x in range(0, len(a), _BLOCK):
+            q = (level[x : x + _BLOCK] == t).nonzero()[0]
+            if x:
+                q += x
+            least = lcp[first[q]]
+            np.minimum(least, lcp[last[q]], out=least)
+            out[q] = least
+    return out
+
+
+_FLIP = {2: bytes.maketrans(b"01", b"10"), 3: bytes.maketrans(b"012", b"210")}
+
+
+def _runs(w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every run of w, i.e. every maximal repetition with exponent >= 2
+    under its minimal period, as int32 arrays (start, period, length) sorted
+    by (start, period).
+
+    Runs of period 1 are the blocks of one letter.  For the others, Lyndon
+    roots (Bannai et al., "The Runs Theorem", SIAM J. Comput. 2017): under
+    one of the two letter orders, every run w[s:e] with period p has a root
+    w[i:i+p], s < i, that is the longest Lyndon word starting at i.  So the
+    candidates are the longest Lyndon words w[i:j] under either order; each
+    extends to w[i-b : j+f], where f and b are the longest common extensions
+    of i and j to the right and to the left, and is a run with period j-i
+    exactly when f + b >= j-i.  Right extensions come from the suffix ranks
+    and LCP array of w, left ones from those of reversed w.  Candidates with
+    the same period and right end extend to the same factor, so only one of
+    them is extended to the left.  Every array is int32 or smaller but the
+    sort keys, and each is dropped once spent: the working set stays near
+    35 bytes a letter.
+    """
+    n = len(w)
+    text = (w.text + "$").encode("ascii")  # '$' is below every digit
+    # the roots under the reversed alphabet order, then the alphabet order;
+    # period 1 is left to the blocks
+    flipped = _lyndon_roots(_suffix_ranks(text.translate(_FLIP[w.alphabet_size]))[0])
+    rank, sa = _suffix_ranks(text)
+    lcp = _lcp_array(text, rank, sa)
+    del sa
+    root, end = (np.concatenate(pair) for pair in zip(flipped, _lyndon_roots(rank)))
+    del flipped
+    right = _lce(rank, lcp, root, end)
+    del rank, lcp
+    # one candidate per (period, end), the one with the leftmost root
+    key = _pack(n, end - root, end + right, root)
+    del root, end, right
+    key.sort()
+    group = key // (n + 1)
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    period, end, root = _unpack(n, key[first])
+    del key, group, first
+    # short of two periods, a candidate must extend to the left: drop it if
+    # fewer letters than it needs lie before it, or the first one differs
+    arr = w.array()
+    drop = end - root < 2 * period
+    drop &= (end < 2 * period) | (arr[root - 1] != arr[root + period - 1])
+    keep = ~drop
+    period, end, root = period[keep], end[keep], root[keep]
+    del drop, keep
+    text = (w.text[::-1] + "$").encode("ascii")
+    rank, sa = _suffix_ranks(text)
+    lcp = _lcp_array(text, rank, sa)
+    del sa
+    start = root - _lce(rank, lcp, n - root, n - root - period)
+    del rank, lcp, root
+    end -= start  # length
+    run = end >= 2 * period
+    # the runs of period 1: blocks of one letter, cut where the letter changes
+    cut = np.concatenate(([0], (arr[1:] != arr[:-1]).nonzero()[0] + 1, [n]))
+    block_length = cut[1:] - cut[:-1]
+    block = block_length > 1
+    key = np.concatenate((
+        _pack(n, start[run], period[run], end[run]),
+        _pack(n, cut[:-1][block], 1, block_length[block]),
+    ))
+    del start, period, end, run
+    key.sort()
+    return _unpack(n, key)
+
+
+def _pack(n: int, first: np.ndarray, *fields) -> np.ndarray:
+    """Fields in [0, n] as the digits of one int64 in base n+1, the first
+    most significant; three fit for n < 2**21."""
+    key = first.astype(np.int64)
+    for field in fields:
+        key *= n + 1
+        key += field
+    return key
+
+
+def _unpack(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three int32 fields of `_pack` keys; consumes key."""
+    last = np.remainder(key, n + 1, out=np.empty(len(key), dtype=np.int32), casting="unsafe")
+    key //= n + 1
+    middle = np.remainder(key, n + 1, out=np.empty(len(key), dtype=np.int32), casting="unsafe")
+    key //= n + 1
+    return key.astype(np.int32), middle, last
 
 
 def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     """Maximum factor exponent of a nonempty finite word, with a witness.
 
-    For each candidate period p, the longest factor with period p has length
-    p plus the longest equality run at distance p; the overall maximum over p
-    equals the critical exponent (at the witness, p is the minimal period).
+    If w has a square, the maximum is the largest exponent length/period
+    over the runs of w, found from their Lyndon roots in near-linear time
+    (see `_runs`) and compared exactly in int64 arithmetic; the witness is
+    the run of that exponent with the smallest period, then the earliest
+    start.  A word with no square has no run and falls back to a quadratic
+    scan over every period p: the longest factor with period p has length p
+    plus the longest equality run at distance p.  Words of 2**21 - 1 letters
+    or more raise ValueError.
     """
     n = len(w)
     if n == 0:
         raise ValueError("critical_exponent requires a nonempty word")
+    starts, periods, lengths = _runs(w)
+    if len(starts) == 0:
+        return _squarefree_critical_exponent(w)
+    # floor(length * 2**42 / period) orders the exponents exactly: periods
+    # are below 2**21, so two different exponents differ by more than 2**-42
+    key = lengths.astype(np.int64)
+    key <<= 42
+    key //= periods
+    ties = (key == key.max()).nonzero()[0]
+    i = ties[np.argmin(periods[ties])]  # runs are sorted by start
+    rep = Repetition(int(starts[i]), int(periods[i]), int(lengths[i]))
+    return Fraction(rep.length, rep.period), rep
+
+
+def _squarefree_critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
+    """critical_exponent by a scan over every period (quadratic)."""
+    n = len(w)
     arr = w.array()
     best_num, best_den = 1, 1  # exponent 1 always attained by a single letter
     best = Repetition(0, n, n) if smallest_period(w) == n else None
@@ -167,36 +419,30 @@ def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
 
 
 def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
-    """All maximal repetitions of exponent >= min_exponent.
+    """All maximal repetitions of exponent >= min_exponent, sorted by
+    (start, period).
 
     Maximal means: not extendable left or right with the same period, and the
-    period is the minimal period of the factor.  Runs whose period is not
-    minimal are reported under their minimal period instead.
+    period is the minimal period of the factor.  These are the runs of w,
+    found from their Lyndon roots in near-linear time (see `_runs`), whose
+    length reaches min_exponent times their period, an exact integer test.
+    A maximal repetition below exponent 2 is not a run, so min_exponent < 2
+    raises ValueError, as do words of 2**21 - 1 letters or more.
     """
-    n = len(w)
-    if n == 0:
+    e = Fraction(min_exponent)
+    if e < 2:
+        raise ValueError(f"maximal_repetitions needs min_exponent >= 2, got {e}")
+    if len(w) == 0:
         return []
-    arr = w.array()
-    out = []
-    num, den = Fraction(min_exponent).numerator, Fraction(min_exponent).denominator
-    for p in range(1, n):
-        # need run r with (r+p)/p >= min_exponent, i.e. r >= p*(e-1)
-        min_run = max(-((-(num - den) * p) // den), 1)
-        if p + min_run > n:
-            break
-        eq = arr[:-p] == arr[p:]
-        if not _has_run(eq, min_run):
-            continue
-        starts, lengths = _runs_of(eq)
-        for s, r in zip(starts, lengths):
-            if r < min_run:
-                continue
-            rep = Repetition(int(s), p, int(r) + p)
-            factor = w[rep.start : rep.start + rep.length]
-            if smallest_period(factor) == p:
-                out.append(rep)
-    out.sort(key=lambda rep: (rep.start, rep.period))
-    return out
+    starts, periods, lengths = _runs(w)
+    num, den = e.numerator, e.denominator
+    shared: dict[int, int] = {}  # many runs share a period: one int object each
+    # memoryviews hand out Python ints one at a time; the test is exact
+    return [
+        Repetition(s, shared.setdefault(p, p), length)
+        for s, p, length in zip(memoryview(starts), memoryview(periods), memoryview(lengths))
+        if length * den >= num * p
+    ]
 
 
 def satisfies(w: Word, bound: PowerBound) -> tuple[bool, Optional[Repetition]]:

@@ -50,6 +50,13 @@ def test_analyze_bad_letters(capsys):
     assert code == EXIT_USAGE
 
 
+def test_analyze_words_it_cannot_take_are_usage_errors(tmp_path, capsys):
+    assert run(capsys, "analyze", "")[0] == EXIT_USAGE
+    path = tmp_path / "long.txt"
+    path.write_text("0" * (2**21 - 1) + "\n")  # past the suffix sorting cap
+    assert run(capsys, "analyze", str(path))[0] == EXIT_USAGE
+
+
 def test_generate_word_w(capsys):
     code, _, out = run(capsys, "generate", "--word-w", "--length", "30")
     assert code == EXIT_OK

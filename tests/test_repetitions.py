@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repetitions_reference as reference
+from antisquares import fibanalysis, morphisms
 from antisquares.repetitions import (
     PowerBound,
     Repetition,
@@ -17,6 +20,35 @@ from antisquares.repetitions import (
 from antisquares.words import Word
 
 binary_word = st.text(alphabet="01", min_size=1, max_size=30).map(Word)
+
+EXPONENTS = (Fraction(2), Fraction(5, 2), Fraction(3))
+
+
+def binary_words():
+    for n in range(1, 12):
+        for bits in product("01", repeat=n):
+            yield Word("".join(bits))
+
+
+def ternary_words() -> list[Word]:
+    rng = random.Random(20221)
+    return [Word("".join(rng.choice("012") for _ in range(rng.randint(1, 60))), 3) for _ in range(200)]
+
+
+def long_words() -> list[Word]:
+    return [fibanalysis.word_w_prefix(10**4), fibanalysis.fibonacci_word_prefix(10**4)]
+
+
+def squarefree_ternary(length: int) -> Word:
+    """A squarefree ternary word: the one at index `length` among those of
+    that length, in lexicographic order."""
+    return next(islice(morphisms.squarefree_ternary_words(length), length, None))
+
+
+def h_images() -> list[Word]:
+    """The 20 h154-images of squarefree ternary words of lengths 5, 7, ..., 43."""
+    h = morphisms.load_registry()["h154"].morphism
+    return [morphisms.apply(h, squarefree_ternary(length)) for length in range(5, 45, 2)]
 
 
 def brute_smallest_period(t: str) -> int:
@@ -52,14 +84,25 @@ def test_smallest_period_matches_brute(w):
 
 
 def test_critical_exponent_exhaustive_small():
-    for n in range(1, 12):
-        for bits in product("01", repeat=n):
-            t = "".join(bits)
-            got, witness = critical_exponent(Word(t))
-            assert got == brute_critical_exponent(t), t
-            factor = t[witness.start : witness.start + witness.length]
-            assert smallest_period(Word(factor)) == witness.period
-            assert Fraction(witness.length, witness.period) == got
+    for w in binary_words():
+        t = w.text
+        got, witness = critical_exponent(w)
+        assert got == brute_critical_exponent(t), t
+        factor = t[witness.start : witness.start + witness.length]
+        assert smallest_period(Word(factor)) == witness.period
+        assert Fraction(witness.length, witness.period) == got
+        # the same witness as the per-period scan: smallest period, then start
+        assert (got, witness) == reference.critical_exponent(w), t
+
+
+def test_critical_exponent_witness_matches_reference():
+    squarefree = list(morphisms.squarefree_ternary_words(8)) + [squarefree_ternary(n) for n in (20, 40, 60)]
+    words = ternary_words() + long_words() + squarefree + h_images()
+    for w in words:
+        assert critical_exponent(w) == reference.critical_exponent(w), w.text[:60]
+    # squarefree words have no run: the fallback scan answers, below exponent 2
+    for w in squarefree:
+        assert critical_exponent(w)[0] < 2
 
 
 def test_critical_exponent_known_words():
@@ -134,6 +177,32 @@ def test_maximal_repetitions_are_repetitions(w):
         end = r.start + r.length
         if end < len(t):
             assert t[end] != t[end - r.period]
+
+
+def test_maximal_repetitions_match_reference_binary():
+    for w in binary_words():
+        for e in EXPONENTS:
+            assert maximal_repetitions(w, e) == reference.maximal_repetitions(w, e), (w.text, e)
+
+
+def test_maximal_repetitions_match_reference_ternary_and_long():
+    for w in ternary_words() + long_words():
+        for e in EXPONENTS:
+            assert maximal_repetitions(w, e) == reference.maximal_repetitions(w, e), (w.text[:60], e)
+
+
+def test_maximal_repetitions_edge_cases():
+    with pytest.raises(ValueError):
+        maximal_repetitions(Word("0101"), Fraction(3, 2))
+    assert maximal_repetitions(Word(""), Fraction(2)) == []
+
+
+def test_words_beyond_the_suffix_sorting_cap_are_an_error():
+    w = Word("0" * (2**21 - 1))
+    with pytest.raises(ValueError):
+        critical_exponent(w)
+    with pytest.raises(ValueError):
+        maximal_repetitions(w, Fraction(2))
 
 
 def test_repetition_exponent():
