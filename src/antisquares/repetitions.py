@@ -256,8 +256,8 @@ def _lce(rank: np.ndarray, lcp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     size = len(lcp)
     for t in range(int(level.max(initial=-1)) + 1):
         if t:
-            # lcp[x] = min(lcp[x], lcp[x + half]): a block reads only itself
-            # and the next one, which is still unwritten
+            # lcp[x] = min(lcp[x], lcp[x + half]) a block at a time: a block
+            # reads only itself and later entries, which are still unwritten
             half = 1 << (t - 1)
             size -= half
             for x in range(0, size, _BLOCK):

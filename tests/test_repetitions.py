@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 import repetitions_reference as reference
 from antisquares import fibanalysis, morphisms
 from antisquares.repetitions import (
+    _BLOCK,
     PowerBound,
     Repetition,
+    _lce,
+    _lcp_array,
+    _suffix_ranks,
     critical_exponent,
     exponent,
     maximal_repetitions,
@@ -203,6 +208,40 @@ def test_words_beyond_the_suffix_sorting_cap_are_an_error():
         critical_exponent(w)
     with pytest.raises(ValueError):
         maximal_repetitions(w, Fraction(2))
+
+
+def common_prefix(text: bytes, i: int, j: int) -> int:
+    lo, hi = 0, len(text) - max(i, j)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if text[i : i + mid] == text[j : j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_suffix_structures_span_several_blocks():
+    # long shared factors take many doubling rounds; more than _BLOCK ranks
+    # and queries take the block loops of _lce past their first block
+    text = (fibanalysis.word_w_prefix(3 * _BLOCK).text + "$").encode("ascii")
+    rank, sa = _suffix_ranks(text)
+    assert (rank[sa] == np.arange(len(text))).all()
+    lcp = _lcp_array(text, rank, sa)
+    for r in range(1, len(text), 97):
+        assert text[sa[r - 1] :] < text[sa[r] :]
+        assert lcp[r] == common_prefix(text, int(sa[r - 1]), int(sa[r]))
+    rng = random.Random(5)
+    pairs = [(rng.randrange(len(text)), rng.randrange(len(text))) for _ in range(2 * _BLOCK)]
+    # one window long at every level, starting next to each block boundary
+    for x in range(_BLOCK, len(text), _BLOCK):
+        for r in x - 1, x, x + 1:
+            pairs += [(sa[r - 1], sa[r - 1 + (1 << t)]) for t in range(16) if r - 1 + (1 << t) < len(text)]
+    a, b = np.array([p for p in pairs if p[0] != p[1]], dtype=np.int32).T
+    # the minimum of lcp over the ranks in between, query by query
+    ranks = zip(rank[a].tolist(), rank[b].tolist())
+    expect = [int(lcp[min(r, s) + 1 : max(r, s) + 1].min()) for r, s in ranks]
+    assert _lce(rank, lcp.copy(), a, b).tolist() == expect
 
 
 def test_repetition_exponent():
