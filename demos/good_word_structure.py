@@ -27,5 +27,5 @@ for row in ana.rows:
 print()
 print(f"unmatched repetitions: {len(ana.unmatched)}")
 print(f"max exponent: {ana.max_exponent} = {float(ana.max_exponent):.12f}")
-print(f"2 + alpha   = {float(2 + fa.golden_ratio()):.12f}")
+print(f"2 + alpha   = {2 + (1 + 5**0.5) / 2:.12f}")
 print(f"below the threshold: {fa.is_below_two_plus_alpha(ana.max_exponent)}")

@@ -22,7 +22,10 @@ print(" ", series)
 
 est = growth_rate(aut)
 psi = supergolden()
-print(f"growth rate:  {est.value:.15f}  ({est.method}, residual {est.residual:.2e})")
+lo, hi = est.interval
+print(f"growth rate:  {est.value:.15f}")
+print(f"  largest real root of {est.polynomial} (coefficients low to high),")
+print(f"  in the rational interval ({lo}, {hi}] of width {float(hi - lo):.1e}")
 print(f"supergolden:  {float(psi):.15f}")
 print(f"difference:   {abs(est.value - float(psi)):.2e}")
 

@@ -31,7 +31,7 @@ from .repetitions import (
     smallest_period,
 )
 from .search import ConstraintSet, SearchOutcome, check_word, count_by_length, longest_word
-from .words import Word, complement, conjugates
+from .words import Word, complement
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "check_word",
     "complement",
     "complement_pair_bound",
-    "conjugates",
     "count_by_length",
     "critical_exponent",
     "exponent",

@@ -5,10 +5,11 @@ counting, and the degree-6 polynomial identity behind the supergolden rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .words import Word
@@ -57,28 +58,20 @@ class FactorAvoidanceAutomaton:
                     mat[i, j] += 1
         return mat
 
-    def dump(self) -> str:
-        lines = []
-        for i, row in enumerate(self.transitions):
-            targets = " ".join(str(j) for j in row)
-            lines.append(f"{i} [{self.states[i] or 'eps'}] -> {targets}")
-        return "\n".join(lines)
-
 
 @dataclass
 class CountSeries:
     counts: list[int]
-    description: str = ""
-
-    def tsv(self) -> str:
-        return "\n".join(f"{n}\t{c}" for n, c in enumerate(self.counts))
 
 
 @dataclass
 class GrowthEstimate:
+    """The largest real root of polynomial (coefficients low to high) lies in
+    (lo, hi] = interval, or is 1 when interval == (1, 1); value is the midpoint."""
+
     value: float
-    method: str
-    residual: float
+    polynomial: list[int]
+    interval: tuple[Fraction, Fraction]
 
 
 def build_avoidance_automaton(
@@ -114,13 +107,6 @@ def build_avoidance_automaton(
     return FactorAvoidanceAutomaton(alphabet_size, clean, transitions)
 
 
-def count_with_automaton(a: FactorAvoidanceAutomaton, n: int) -> int:
-    """Exact number of accepted words of length n (big-integer iteration)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return count_series(a, n).counts[n]
-
-
 def count_series(a: FactorAvoidanceAutomaton, n_max: int) -> CountSeries:
     vec = [0] * a.num_states
     vec[a.start] = 1
@@ -134,88 +120,129 @@ def count_series(a: FactorAvoidanceAutomaton, n_max: int) -> CountSeries:
                         nxt[j] += weight
         vec = nxt
         counts.append(sum(vec))
-    return CountSeries(counts, description="factor-avoidance counts")
+    return CountSeries(counts)
 
 
 def _live_submatrix(a: FactorAvoidanceAutomaton) -> np.ndarray:
     """Adjacency restricted to states on arbitrarily long accepted paths."""
     mat = a.adjacency()
-    n = a.num_states
-    # states from which arbitrarily long paths leave: iteratively trim sinks
-    alive = np.ones(n, dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        out_degree = (mat[:, alive].sum(axis=1) > 0) & alive
-        if not np.array_equal(out_degree, alive):
-            alive = out_degree
-            changed = True
-    # also require reachability from the start state
-    reach = np.zeros(n, dtype=bool)
-    stack = [a.start]
-    reach[a.start] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(mat[i] > 0):
-            if not reach[j]:
-                reach[j] = True
-                stack.append(int(j))
-    keep = alive & reach
-    return mat[np.ix_(keep, keep)]
+    keep = np.zeros(a.num_states, dtype=bool)
+    keep[a.start] = True
+    for _ in range(a.num_states):  # states reachable from the start
+        keep |= keep @ mat > 0
+    while True:  # then trim the states with no way on, until none is left
+        trimmed = keep & (mat[:, keep].sum(axis=1) > 0)
+        if np.array_equal(trimmed, keep):
+            return mat[np.ix_(keep, keep)]
+        keep = trimmed
 
 
-def growth_rate(a: FactorAvoidanceAutomaton, tolerance: float = 1e-12) -> GrowthEstimate:
-    """Dominant eigenvalue of the live-state transfer matrix.
+def _charpoly(mat: list[list[int]]) -> list[int]:
+    """det(xI - mat), coefficients low to high, by Berkowitz's division-free
+    algorithm: each leading principal submatrix's polynomial is a Toeplitz
+    matrix times the one before, all in Python integers."""
+    vect = [1, -mat[0][0]]  # high to low while it grows
+    for r in range(1, len(mat)):
+        t, x = [1, -mat[r][r]], [mat[i][r] for i in range(r)]
+        for _ in range(r):
+            t.append(-sum(a * b for a, b in zip(mat[r], x)))
+            x = [sum(a * b for a, b in zip(mat[i], x)) for i in range(r)]
+        vect = poly_mul(t, vect)[: r + 2]
+    return vect[::-1]
 
-    Power iteration with a Rayleigh-quotient residual, cross-checked against
-    count-ratio extrapolation to guard against reducible automata.
+
+def _divmod(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Integer pseudo-division: (quot, rem) with c p = quot q + rem for an
+    integer c > 0, so rem keeps the signs of the true remainder.  Trailing
+    zeros of rem are dropped."""
+    rem, quot = list(p), [0] * max(len(p) - len(q) + 1, 0)
+    lc = abs(q[-1])
+    for shift in reversed(range(len(quot))):
+        f = rem[shift + len(q) - 1] * (1 if q[-1] > 0 else -1)
+        rem = [c * lc for c in rem]
+        quot = [c * lc for c in quot]
+        quot[shift] = f
+        for i, c in enumerate(q):
+            rem[shift + i] -= f * c
+    rem = rem[: len(q) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients."""
+    g = gcd(*p)
+    return [c // g for c in p]
+
+
+def _sign(p: list[int], n: int, k: int) -> int:
+    """Sign of p(n / 2^k), from 2^(k deg) p(n / 2^k) evaluated in integers."""
+    acc, shift = p[-1], k
+    for c in reversed(p[:-1]):
+        acc = acc * n + (c << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
+
+
+def _dominant_root(poly: list[int], top: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < hi at most 2^-128 apart with the largest real root of
+    poly in (lo, hi], or (1, 1) when no root lies in (1, top].
+
+    The Sturm count V(a) - V(b) of the square-free part q is its number of
+    roots in (a, b].  Such counts isolate the largest root, and go on until
+    q(lo) != 0, as 1 may be a root below it; sign bisection at lo = a / 2^k,
+    hi = b / 2^k then narrows it.
     """
+    g, deriv = poly, [i * c for i, c in enumerate(poly)][1:]
+    while deriv:
+        g, deriv = deriv, _primitive(_divmod(g, deriv)[1])
+    q = _primitive(_divmod(poly, g)[0])
+    sturm = [q, [i * c for i, c in enumerate(q)][1:]]
+    while len(sturm[-1]) > 1:
+        sturm.append(_primitive([-c for c in _divmod(sturm[-2], sturm[-1])[1]]))
+
+    def variations(n: int, k: int) -> int:
+        signs = [s for s in (_sign(p, n, k) for p in sturm) if s]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    a, b, k = 1, top, 0
+    v_lo, v_hi = variations(a, k), variations(b, k)
+    if v_lo == v_hi:
+        return Fraction(1), Fraction(1)
+    while v_lo - v_hi > 1 or _sign(q, a, k) == 0:
+        a, b, k = 2 * a, 2 * b, k + 1
+        v_mid = variations(a + b >> 1, k)
+        if v_mid > v_hi:
+            a, v_lo = a + b >> 1, v_mid
+        else:
+            b = a + b >> 1
+    s_lo = _sign(q, a, k)
+    while (b - a) << 128 > 1 << k:
+        a, b, k = 2 * a, 2 * b, k + 1
+        if _sign(q, a + b >> 1, k) == s_lo:
+            a = a + b >> 1
+        else:
+            b = a + b >> 1
+    return Fraction(a, 1 << k), Fraction(b, 1 << k)
+
+
+def growth_rate(a: FactorAvoidanceAutomaton) -> GrowthEstimate:
+    """Exact growth rate of the language accepted by a: the spectral radius
+    of the live-state transfer matrix, which is its largest real eigenvalue
+    (Perron-Frobenius) and at least 1, as the live states carry a cycle.
+    The interval (1, 1) means polynomial growth."""
     sub = _live_submatrix(a)
     if sub.size == 0:
         raise ValueError("language is finite; growth rate undefined")
-    m = sub.astype(float)
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    value = 0.0
-    for _ in range(100_000):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            raise ValueError("language is finite; growth rate undefined")
-        v = w / norm
-        new_value = float(v @ (m @ v))
-        if abs(new_value - value) < tolerance / 10:
-            value = new_value
-            break
-        value = new_value
-    residual = float(np.linalg.norm(m @ v - value * v))
-    # independent cross-check from consecutive exact counts
-    series = count_series(a, 220).counts
-    if series[-2] > 0:
-        ratio = series[-1] / series[-2]
-        if abs(ratio - value) > max(1e-6, 100 * tolerance):
-            raise ArithmeticError(
-                f"growth estimators disagree: eigenvalue {value} vs count ratio {ratio}"
-            )
-    return GrowthEstimate(value, "power-iteration", residual)
+    poly = _charpoly(sub.tolist())
+    lo, hi = _dominant_root(poly, a.alphabet_size)
+    return GrowthEstimate(float((lo + hi) / 2), poly, (lo, hi))
 
 
-def supergolden(precision: float = 1e-30) -> mpmath.mpf:
-    """The real root > 1 of X^3 = X^2 + 1, by bisected Newton iteration with
-    an interval certificate at the end."""
-    if precision > 1e-15:
-        raise ValueError("precision must be at most 1e-15")
-    with mpmath.workdps(60):
-        f = lambda x: x**3 - x**2 - 1
-        x = mpmath.mpf("1.5")
-        for _ in range(200):
-            step = f(x) / (3 * x**2 - 2 * x)
-            x -= step
-            if abs(step) < precision / 10:
-                break
-        eps = mpmath.mpf(precision)
-        if not (f(x - eps) < 0 < f(x + eps)):
-            raise ArithmeticError("root certification failed")
-        return +x
+def supergolden() -> Fraction:
+    """The real root of X^3 = X^2 + 1, as a rational at most 2^-128 above it."""
+    return _dominant_root([-1, 0, -1, 1], 2)[1]
 
 
 def pansiot_block_counts(n_max: int) -> list[int]:

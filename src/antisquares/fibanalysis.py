@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import mpmath
-
 from . import morphisms
 from .antisquares import AntisquareInventory, inventory, is_good
 from .repetitions import PowerBound, Repetition, critical_exponent, maximal_repetitions, satisfies
@@ -107,11 +105,6 @@ def verify_phi_identities(n_max: int) -> bool:
         if rhs0[-1] != "0" or rhs10[-1] != "0":
             return False  # the trailing-0 cancellation must be well defined
     return True
-
-
-def golden_ratio(dps: int = 50) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        return (1 + mpmath.sqrt(5)) / 2
 
 
 def is_below_two_plus_alpha(x: Fraction) -> bool:

@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .antisquares import inventory
+from .enumeration import build_avoidance_automaton
 from .repetitions import PowerBound, satisfies
 from .words import Word, complement_text
 
@@ -231,8 +232,6 @@ class _DFS:
             self.eq_width = int(self.power_reach[max_depth])
         self.transitions = None
         if c.forbidden_factors:
-            from .enumeration import build_avoidance_automaton  # imported here: enumeration loads mpmath
-
             automaton = build_avoidance_automaton(sorted(c.forbidden_factors))
             self.transitions = np.array(automaton.transitions, dtype=np.int32).reshape(-1, 2)
         self.interned: dict[bytes, int] = {}  # antisquares of order > _TAG_ORDER -> negative ids

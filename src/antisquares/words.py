@@ -1,8 +1,7 @@
-"""Finite words over alphabets {0,1} and {0,1,2}, plus elementary block combinatorics."""
+"""Finite words over alphabets {0,1} and {0,1,2}, their complements and factors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -38,10 +37,6 @@ class Word:
         self.text = text
         self.alphabet_size = alphabet_size
         self._arr = None
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(ord(c) - 48 for c in self.text)
 
     def array(self) -> np.ndarray:
         """Letters as a read-only uint8 numpy array (cached)."""
@@ -81,22 +76,6 @@ class Word:
         return f"Word({self.text!r}, alphabet_size={self.alphabet_size})"
 
 
-@dataclass(frozen=True)
-class RunLengthEncoding:
-    """Lengths of the maximal blocks of a word, with the first letter recorded."""
-
-    runs: tuple[int, ...]
-    first_letter: int
-
-
-def binary(text: str) -> Word:
-    return Word(text, 2)
-
-
-def ternary(text: str) -> Word:
-    return Word(text, 3)
-
-
 def complement(w: Word) -> Word:
     """Letterwise 0<->1 flip.  Only defined over the binary alphabet."""
     if w.alphabet_size != 2:
@@ -107,44 +86,6 @@ def complement(w: Word) -> Word:
 def complement_text(text: str) -> str:
     """complement() for raw digit strings, used in inner loops."""
     return text.translate(_COMPLEMENT_TABLE)
-
-
-def run_length_encoding(w: Word) -> RunLengthEncoding:
-    """Maximal-block lengths in order.  Requires a nonempty word."""
-    if len(w) == 0:
-        raise ValueError("run_length_encoding requires a nonempty word")
-    runs = []
-    prev = w.text[0]
-    count = 0
-    for ch in w.text:
-        if ch == prev:
-            count += 1
-        else:
-            runs.append(count)
-            prev = ch
-            count = 1
-    runs.append(count)
-    return RunLengthEncoding(tuple(runs), ord(w.text[0]) - 48)
-
-
-def conjugates(w: Word) -> list[Word]:
-    """All |w| cyclic shifts, starting with w itself.  Duplicates kept."""
-    if len(w) == 0:
-        raise ValueError("conjugates requires a nonempty word")
-    t = w.text
-    return [Word(t[i:] + t[:i], w.alphabet_size) for i in range(len(t))]
-
-
-def factor_set(w: Word, max_len: int) -> set[Word]:
-    """All distinct factors of w of length 1..max_len (the empty factor is excluded)."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    t = w.text
-    out: set[str] = set()
-    for ln in range(1, min(max_len, len(t)) + 1):
-        for i in range(len(t) - ln + 1):
-            out.add(t[i : i + ln])
-    return {Word(s, w.alphabet_size) for s in out}
 
 
 def factor_texts(text: str, length: int) -> set[str]:

@@ -125,6 +125,16 @@ def test_04_morphism_verification_suite():
     )
 
 
+def _divides_supergolden_polynomial(p: list[int]) -> bool:
+    """x^3 - x^2 - 1 divides the integer polynomial p (coefficients low to high)."""
+    r = list(p)
+    for shift in reversed(range(len(r) - 3)):
+        f = r[shift + 3]
+        for i, c in enumerate((-1, 0, -1, 1)):
+            r[shift + i] -= f * c
+    return not any(r)
+
+
 def test_05_growth_constant():
     psi = supergolden()
     printed = f"{float(psi):.15f}"
@@ -133,6 +143,7 @@ def test_05_growth_constant():
     ok = (
         printed == "1.465571231876768"
         and abs(est.value - float(psi)) < 1e-9
+        and _divides_supergolden_polynomial(est.polynomial)
         and expand_polynomial_identity()
     )
     report(
@@ -156,7 +167,12 @@ def test_06_derivative_code_machinery():
     est = growth_rate(aut)
     counts = pansiot_block_counts(40)
     rec = verify_pansiot_recurrence(range(10, 41), counts)
-    ok = roundtrips and abs(est.value - float(supergolden())) < 1e-9 and rec
+    ok = (
+        roundtrips
+        and abs(est.value - float(supergolden())) < 1e-9
+        and _divides_supergolden_polynomial(est.polynomial)
+        and rec
+    )
     report(
         "derivative codes: round-trips, growth rate, counting recurrence",
         ok,

@@ -118,6 +118,16 @@ def test_minimal_antisquares(capsys):
     assert lines[3].rstrip() == "4"  # order 4 has no minimal antisquares
 
 
+def test_fib_report(capsys):
+    code, records, out = run(capsys, "fib-report", "--prefix-len", "2000")
+    assert code == EXIT_OK
+    assert records[0]["antisquares"] == ["01", "10"]
+    assert records[0]["max_exponent"] == "1039/288"
+    assert records[0]["unmatched"] == 0
+    assert 0 < records[0]["gap_to_limit"] < 0.02
+    assert out.rstrip().endswith("PASS")
+
+
 def test_minimal_antisquares_closed_form(capsys):
     code, _, out = run(capsys, "minimal-antisquares", "--max-order", "5", "--closed-form")
     assert code == EXIT_OK

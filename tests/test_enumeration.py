@@ -1,13 +1,17 @@
+import random
+from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from antisquares.enumeration import (
     GOOD_WORD_FORBIDDEN,
     PANSIOT_CODE_FORBIDDEN,
+    _charpoly,
+    _live_submatrix,
     build_avoidance_automaton,
     count_series,
-    count_with_automaton,
     expand_polynomial_identity,
     growth_rate,
     pansiot_block_counts,
@@ -16,6 +20,16 @@ from antisquares.enumeration import (
     verify_pansiot_recurrence,
 )
 from antisquares.words import Word
+
+
+def monic_remainder(p, d):
+    """Remainder of the integer polynomial p by the monic d (low to high)."""
+    r = list(p)
+    for shift in reversed(range(len(r) - len(d) + 1)):
+        f = r[shift + len(d) - 1]
+        for i, c in enumerate(d):
+            r[shift + i] -= f * c
+    return r[: len(d) - 1]
 
 
 def brute_count(forbidden, n):
@@ -38,8 +52,9 @@ def test_automaton_accepts_matches_membership():
 def test_automaton_counts_match_brute():
     for forbidden in (("00",), ("010", "101"), GOOD_WORD_FORBIDDEN, PANSIOT_CODE_FORBIDDEN):
         aut = build_avoidance_automaton(forbidden)
+        counts = count_series(aut, 10).counts
         for n in range(0, 11):
-            assert count_with_automaton(aut, n) == brute_count(forbidden, n), (forbidden, n)
+            assert counts[n] == brute_count(forbidden, n), (forbidden, n)
 
 
 def test_avoiding_00_gives_fibonacci_counts():
@@ -56,18 +71,11 @@ def test_empty_forbidden_rejected():
         build_avoidance_automaton([])
 
 
-def test_dump_mentions_every_state():
-    aut = build_avoidance_automaton(["00"])
-    text = aut.dump()
-    assert text.count("\n") + 1 == aut.num_states
-
-
 def test_growth_rate_golden_ratio():
     aut = build_avoidance_automaton(["00"])
     est = growth_rate(aut)
     assert abs(est.value - (1 + 5**0.5) / 2) < 1e-10
-    # the eigenvector converges more slowly than the eigenvalue
-    assert est.residual < 1e-6
+    assert est.polynomial == [-1, -1, 1]  # x^2 - x - 1
 
 
 def test_growth_rate_finite_language():
@@ -79,9 +87,65 @@ def test_growth_rate_finite_language():
 def test_supergolden_value_and_certificate():
     x = supergolden()
     assert f"{float(x):.15f}" == "1.465571231876768"
-    assert abs(x**3 - x**2 - 1) < 1e-40
-    with pytest.raises(ValueError):
-        supergolden(precision=1e-5)
+    # the root lies in [x - 2^-128, x]: x^3 - x^2 - 1 is increasing past 1
+    f = lambda y: y**3 - y**2 - 1
+    assert f(x - Fraction(1, 2**128)) < 0 <= f(x)
+
+
+def test_charpoly_matches_numpy():
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        for _ in range(10):
+            m = rng.integers(-2, 3, (n, n))
+            expected = [int(round(c)) for c in np.poly(m)][::-1]
+            assert _charpoly(m.tolist()) == expected, m
+
+
+def test_growth_rate_isolates_the_largest_root():
+    est = growth_rate(build_avoidance_automaton(["000", "0110"]))
+    assert not any(monic_remainder(est.polynomial, [-1, 0, 0, -1, -1, 1]))  # x^5 - x^4 - x^3 - 1
+    lo, hi = est.interval
+    assert 0 < hi - lo <= Fraction(1, 2**64)
+    assert abs(est.value - 1.7049027760416) < 1e-12
+
+
+def test_growth_rate_polynomial_growth():
+    est = growth_rate(build_avoidance_automaton(["100", "11"]))
+    assert est.interval == (1, 1)
+    assert est.value == 1.0
+
+
+def test_growth_rate_root_one_below_the_dominant_root():
+    # x^2 (x - 1)(x^3 - x^2 - 1): a bracket grown from 1 by signs alone returns 1
+    est = growth_rate(build_avoidance_automaton(["110", "0101"]))
+    assert est.polynomial == [0, 0, 1, -1, 1, -2, 1]
+    lo, hi = est.interval
+    f = lambda y: y**3 - y**2 - 1
+    assert f(lo) < 0 <= f(hi) and hi - lo <= Fraction(1, 2**64)
+    assert est.value == float(supergolden())
+
+
+def test_growth_rate_matches_eigenvalues_on_random_sets():
+    rng = random.Random(1)
+    infinite = 0
+    for _ in range(800):
+        patterns = set()
+        size = rng.randint(2, 3)
+        while len(patterns) < size:
+            patterns.add("".join(rng.choice("01") for _ in range(rng.randint(2, 4))))
+        aut = build_avoidance_automaton(sorted(patterns))
+        try:
+            est = growth_rate(aut)
+        except ValueError:
+            assert count_series(aut, aut.num_states + 1).counts[-1] == 0, patterns
+            continue
+        infinite += 1
+        rho = max(abs(np.linalg.eigvals(_live_submatrix(aut).astype(float))))
+        # every state is reachable, and states off the live part lie on no cycle
+        assert abs(rho - max(abs(np.linalg.eigvals(aut.adjacency().astype(float))))) < 1e-9
+        lo, hi = est.interval
+        assert float(lo) - 1e-9 <= rho <= float(hi) + 1e-9, (patterns, rho, est)
+    assert infinite == 783
 
 
 def test_growth_rate_of_good_word_language():

@@ -58,7 +58,7 @@ def test_phi_identities():
 
 
 def test_exact_threshold_comparison():
-    alpha = float(fa.golden_ratio())
+    alpha = (1 + 5**0.5) / 2
     assert fa.is_below_two_plus_alpha(Fraction(7, 2))
     assert not fa.is_below_two_plus_alpha(Fraction(15, 4))
     assert not fa.is_below_two_plus_alpha(Fraction(4))

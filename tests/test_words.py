@@ -3,18 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antisquares.words import (
-    RunLengthEncoding,
-    Word,
-    binary,
-    complement,
-    complement_text,
-    conjugates,
-    factor_set,
-    factor_texts,
-    run_length_encoding,
-    ternary,
-)
+from antisquares.words import Word, complement, complement_text, factor_texts
 
 binary_text = st.text(alphabet="01", max_size=40)
 
@@ -23,7 +12,6 @@ def test_construction_and_basics():
     w = Word("0101")
     assert len(w) == 4
     assert w.text == "0101"
-    assert w.letters == (0, 1, 0, 1)
     assert list(w) == [0, 1, 0, 1]
     assert w[0] == 0 and w[1] == 1
     assert w[1:3] == Word("10")
@@ -42,8 +30,8 @@ def test_alphabet_validation():
 
 
 def test_equality_includes_alphabet():
-    assert binary("01") != ternary("01")
-    assert hash(binary("01")) != hash(ternary("01"))
+    assert Word("01", 2) != Word("01", 3)
+    assert hash(Word("01", 2)) != hash(Word("01", 3))
 
 
 def test_array_is_cached_and_readonly():
@@ -57,15 +45,15 @@ def test_array_is_cached_and_readonly():
 
 
 def test_concatenation():
-    assert binary("01") + binary("10") == binary("0110")
-    assert (binary("01") + ternary("2")).alphabet_size == 3
+    assert Word("01", 2) + Word("10", 2) == Word("0110", 2)
+    assert (Word("01", 2) + Word("2", 3)).alphabet_size == 3
 
 
 def test_complement():
-    assert complement(binary("0101")) == binary("1010")
+    assert complement(Word("0101", 2)) == Word("1010", 2)
     assert complement_text("001") == "110"
     with pytest.raises(ValueError):
-        complement(ternary("012"))
+        complement(Word("012", 3))
 
 
 @given(binary_text)
@@ -73,34 +61,8 @@ def test_complement_involution(t):
     assert complement_text(complement_text(t)) == t
 
 
-def test_run_length_encoding():
-    assert run_length_encoding(binary("0011101")) == RunLengthEncoding((2, 3, 1, 1), 0)
-    assert run_length_encoding(binary("1")) == RunLengthEncoding((1,), 1)
-    with pytest.raises(ValueError):
-        run_length_encoding(binary(""))
-
-
-@given(binary_text.filter(bool))
-def test_run_length_encoding_sums(t):
-    rle = run_length_encoding(binary(t))
-    assert sum(rle.runs) == len(t)
-    assert rle.first_letter == int(t[0])
-
-
-def test_conjugates():
-    got = conjugates(binary("001"))
-    assert got == [binary("001"), binary("010"), binary("100")]
-
-
-@given(binary_text.filter(bool))
-def test_conjugates_are_rotations(t):
-    for i, c in enumerate(conjugates(binary(t))):
-        assert c.text == t[i:] + t[:i]
-
-
-def test_factor_set():
-    w = binary("0101")
-    assert {f.text for f in factor_set(w, 2)} == {"0", "1", "01", "10"}
+def test_factor_texts():
+    assert factor_texts("0101", 1) | factor_texts("0101", 2) == {"0", "1", "01", "10"}
     assert factor_texts("0101", 3) == {"010", "101"}
 
 
