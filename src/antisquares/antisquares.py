@@ -8,10 +8,11 @@ is |u|.  A binary word is good if its only antisquare factors are 01 and 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .words import Word, complement, complement_text, factor_texts
+from .words import Word, complement_text, factor_texts
 
 
 @dataclass
@@ -27,9 +28,6 @@ class AntisquareInventory:
     @property
     def max_order(self) -> int:
         return max((len(w) // 2 for w in self.distinct), default=0)
-
-    def orders(self) -> set[int]:
-        return {len(w) // 2 for w in self.distinct}
 
 
 @dataclass
@@ -59,6 +57,15 @@ def antisquare_order(w: Word) -> int:
     return len(w) // 2 if is_antisquare(w) else 0
 
 
+def has_complementary_pair(texts: Iterable[str], length: int) -> bool:
+    """True iff some factor of the given length of the texts has its
+    complement among the factors of that length of the texts."""
+    facs: set[str] = set()
+    for text in texts:
+        facs |= factor_texts(text, length)
+    return any(complement_text(v) in facs for v in facs)
+
+
 def complement_pair_bound(text: str) -> int:
     """Largest L such that some v of length L and its complement are both
     factors of the word; 0 if no complementary pair exists.
@@ -67,11 +74,8 @@ def complement_pair_bound(text: str) -> int:
     property is monotone and the scan can stop at the first empty level.
     """
     m = 0
-    for length in range(1, len(text) + 1):
-        facs = factor_texts(text, length)
-        if not any(complement_text(v) in facs for v in facs):
-            break
-        m = length
+    while m < len(text) and has_complementary_pair([text], m + 1):
+        m += 1
     return m
 
 
@@ -95,36 +99,16 @@ def inventory(w: Word) -> AntisquareInventory:
     """
     if w.alphabet_size != 2:
         raise ValueError("antisquare inventory is only defined for binary words")
-    inv = AntisquareInventory()
-    n = len(w)
-    if n < 2:
-        return inv
-    bound = min(complement_pair_bound(w.text), n // 2)
-    if bound == 0:
-        return inv
-    arr = w.array()
     text = w.text
-    for k in range(1, bound + 1):
-        for s in _antisquare_starts(arr, k):
-            inv.distinct.add(Word(text[s : s + 2 * k], 2))
-    return inv
-
-
-def has_antisquare_of_order_at_least(w: Word, min_order: int) -> bool:
-    n = len(w)
-    if n < 2 * min_order:
-        return False
-    bound = min(complement_pair_bound(w.text), n // 2)
-    arr = w.array()
-    for k in range(min_order, bound + 1):
-        if len(_antisquare_starts(arr, k)) > 0:
-            return True
-    return False
+    found: set[str] = set()
+    for k in range(1, min(complement_pair_bound(text), len(text) // 2) + 1):
+        found.update(text[s : s + 2 * k] for s in _antisquare_starts(w.array(), k))
+    return AntisquareInventory({Word(t, 2) for t in found})
 
 
 def is_good(w: Word) -> bool:
     """True iff the only antisquare factors of w are 01 and 10."""
-    return not has_antisquare_of_order_at_least(w, 2)
+    return inventory(w).max_order < 2
 
 
 def is_minimal_antisquare(w: Word) -> bool:

@@ -27,9 +27,9 @@ from typing import Iterator, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .antisquares import AntisquareInventory, inventory
+from .antisquares import AntisquareInventory, has_complementary_pair, inventory
 from .repetitions import PowerBound, _runs_of
-from .words import Word, complement_text, factor_texts
+from .words import Word
 
 
 class RegistryError(Exception):
@@ -256,15 +256,11 @@ def complement_factor_bound(m: Morphism) -> int:
     when pairs persist through windows of MAX_WINDOW letters.
     """
     length = 1
-    while True:
-        facs: set[str] = set()
-        for image in _window_images(m, length):
-            facs |= factor_texts(image, length)
-        if not any(complement_text(v) in facs for v in facs):
-            return length - 1
+    while has_complementary_pair(_window_images(m, length), length):
         if length == (MAX_WINDOW - 1) * m.uniform_length:
             raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")
         length += 1
+    return length - 1
 
 
 def morphic_antisquare_inventory(m: Morphism, window: int) -> AntisquareInventory:
@@ -297,17 +293,9 @@ class MorphismCheckReport:
     t_used: int
     complement_bound: int
     inventory: AntisquareInventory
-
-    def render(self) -> str:
-        lines = [
-            f"morphism: {self.name}",
-            f"synchronizing: {self.synchronizing}",
-            f"image_bound_ok: {self.image_bound_ok} (t={self.t_used})",
-            f"complement_factor_bound: {self.complement_bound}",
-            f"antisquare_count: {self.inventory.count}",
-            f"antisquare_max_order: {self.inventory.max_order}",
-        ]
-        return "\n".join(lines)
+    # synchronizing, image bound held, complement bound equal to the
+    # published m, and the antisquare cap held
+    passed: bool
 
 
 def _image_checksum(images: tuple[str, ...]) -> str:
@@ -393,7 +381,8 @@ UNIFORM_LENGTHS: dict[str, int] = {
 
 
 def verify_construction(name: str, registry=None) -> MorphismCheckReport:
-    """Run all three checks for one registered uniform construction."""
+    """Run all three checks for one registered uniform construction and
+    decide its verdict against the published parameters."""
     params = VERIFICATION_PARAMS[name]
     registry = registry if registry is not None else load_registry()
     m = registry[name].morphism
@@ -402,4 +391,6 @@ def verify_construction(name: str, registry=None) -> MorphismCheckReport:
     ok_images = image_power_check(m, bound, params["t"])
     cb = complement_factor_bound(m)
     inv = morphic_antisquare_inventory(m, 2 * cb)
-    return MorphismCheckReport(name, sync, ok_images, params["t"], cb, inv)
+    cap_ok = inv.max_order < params["cap"] if params["kind"] == "order" else inv.count <= params["cap"]
+    passed = sync and ok_images and cb == params["m"] and cap_ok
+    return MorphismCheckReport(name, sync, ok_images, params["t"], cb, inv, passed)

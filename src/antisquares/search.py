@@ -48,6 +48,8 @@ DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_COUNT_BUDGET = 10**7
 
 CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
+# nodes between two checkpoint writes
+CHECKPOINT_EVERY = 5_000_000
 
 # Prefixes per chunk.  The stack holds up to a chunk of pending rows per
 # depth, so wider chunks trade memory for speed: on the search-trees
@@ -343,7 +345,7 @@ class _DFS:
         return count, child, ids
 
     def run(self, on_level: Optional[Callable[[np.ndarray], None]] = None, target: Optional[int] = None,
-            checkpoint_path: Optional[str] = None, checkpoint_every: int = 5_000_000) -> bool:
+            checkpoint_path: Optional[str] = None) -> bool:
         """Walk the rest of the tree, chunks of each length in lexicographic order.
 
         on_level(letters) gets the valid children of every expansion, one
@@ -392,7 +394,7 @@ class _DFS:
                     else:  # copies: a slice would keep its sibling chunks' rows alive
                         for start in reversed(range(0, len(children), CHUNK)):
                             stack.append(children.take(np.arange(start, min(start + CHUNK, len(children)))))
-            if checkpoint_path and since_checkpoint >= checkpoint_every:
+            if checkpoint_path and since_checkpoint >= CHECKPOINT_EVERY:
                 since_checkpoint = 0
                 self.save_checkpoint(checkpoint_path)
         return True

@@ -8,7 +8,7 @@ from antisquares.antisquares import (
     antisquare_order,
     characterized_minimal,
     complement_pair_bound,
-    has_antisquare_of_order_at_least,
+    has_complementary_pair,
     inventory,
     is_antisquare,
     is_good,
@@ -57,6 +57,20 @@ def test_complement_pair_bound():
     assert complement_pair_bound("000111") == 3
 
 
+@given(st.text(alphabet="01", max_size=30))
+def test_complement_pair_bound_matches_brute(t):
+    facs = {t[i:j] for i in range(len(t)) for j in range(i + 1, len(t) + 1)}
+    expected = max((len(v) for v in facs if complement_text(v) in facs), default=0)
+    assert complement_pair_bound(t) == expected
+
+
+def test_complementary_pair_across_texts():
+    # complement_factor_bound relies on pairs split over two images
+    assert has_complementary_pair(["000", "111"], 3)
+    assert not has_complementary_pair(["000"], 3)
+    assert not has_complementary_pair(["111"], 3)
+
+
 @given(binary_word)
 def test_inventory_matches_brute(w):
     got = {a.text for a in inventory(w).distinct}
@@ -68,12 +82,16 @@ def test_inventory_counts_and_orders():
     assert {a.text for a in inv.distinct} == {"01", "10", "1001", "0011"}
     assert inv.count == 4
     assert inv.max_order == 2
-    assert inv.orders() == {1, 2}
+
+
+def test_non_binary_words_are_rejected():
+    for check in (inventory, is_good):
+        with pytest.raises(ValueError):
+            check(Word("0120", 3))
 
 
 @given(binary_word)
 def test_good_iff_no_order_two(w):
-    assert is_good(w) == (not has_antisquare_of_order_at_least(w, 2))
     expected = all(len(a) <= 2 for a in brute_inventory(w.text))
     assert is_good(w) == expected
 

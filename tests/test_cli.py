@@ -4,6 +4,7 @@ import os
 import pytest
 
 import search_reference
+from antisquares import morphisms
 from antisquares.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -103,6 +104,17 @@ def test_verify_morphism_single(capsys):
     assert code == EXIT_OK
     assert records[0]["pass"] is True
     assert records[0]["complement_bound"] == 4
+
+
+def test_construction_verdict_includes_antisquare_cap(monkeypatch, capsys):
+    # xi3 has antisquares of order 2, so a cap of 2 must fail both verbs
+    monkeypatch.setitem(morphisms.VERIFICATION_PARAMS["xi3"], "cap", 2)
+    code, records, _ = run(capsys, "verify-morphism", "xi3")
+    assert code == EXIT_VERIFICATION_FAILED
+    assert records[0]["pass"] is False
+    code, records, _ = run(capsys, "reproduce-tables", "--table", "2")
+    assert code == EXIT_VERIFICATION_FAILED
+    assert [r["pass"] for r in records] == [False, True, True]
 
 
 def test_verify_morphism_unknown(capsys):
