@@ -264,11 +264,12 @@ def cmd_reproduce_tables(args) -> int:
             failures += 0 if ok else 1
     elif args.table in (3, 6):
         rows = TABLE3_ROWS if args.table == 3 else TABLE6_ROWS
-
-        def run(row):
-            cap, beta, expected = row
+        for cap, beta, expected in rows:
+            anchor = f"Table {args.table} row {cap}"
             if args.table == 6 and cap == 9 and args.skip_slow:
-                return row, None
+                _emit({"anchor": anchor, "skipped": True})
+                print(f"# {anchor}: SKIPPED")
+                continue
             c = (
                 search.ConstraintSet(power=PowerBound.parse(beta), max_antisquare_order=cap)
                 if args.table == 3
@@ -278,15 +279,7 @@ def cmd_reproduce_tables(args) -> int:
             if args.checkpoint_dir:
                 checkpoint = os.path.join(args.checkpoint_dir, f"table{args.table}_row{cap}.ckpt")
                 resume = checkpoint if os.path.exists(checkpoint) else None
-            return row, _longest_word(c, budget=budget, max_depth=512, checkpoint_path=checkpoint, resume_from=resume)
-
-        for row, outcome in map(run, rows):
-            cap, beta, expected = row
-            anchor = f"Table {args.table} row {cap}"
-            if outcome is None:
-                _emit({"anchor": anchor, "skipped": True})
-                print(f"# {anchor}: SKIPPED")
-                continue
+            outcome = _longest_word(c, budget=budget, max_depth=512, checkpoint_path=checkpoint, resume_from=resume)
             if not outcome.exhausted:
                 budget_hit = True
                 _emit({"anchor": anchor, "max_length": outcome.max_length, "exhausted": False, "pass": False})

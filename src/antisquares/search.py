@@ -16,17 +16,32 @@ Each row of a chunk carries the state of its frontier:
     far as a fixed-width int64 row of tags (1<<k) | last k letters.  Orders
     above 62 get exact negative ids from the engine's intern table.
 
-One expansion handles every child of a chunk with a few array operations.
-A child breaks a bound only where its parent's run is one short of it and
-the child's letter extends that run, so the power mask, the order-cap mask
-and the new antisquares come from the few such (row, distance) pairs of the
-parent; the automaton lookup and the new-tag membership test finish the
-checks.  Then the survivors' rows are built (match, run update) and pushed
-back as chunks, lowest on top.  So the chunks of each length are expanded in
+One expansion handles every child of up to CHUNK rows with a few array
+operations.  A child breaks a bound only where its parent's run is one short
+of it and the child's letter extends that run, so the power mask, the
+order-cap mask and the new antisquares come from the few such (row,
+distance) pairs of the parent; the automaton lookup and the new-tag
+membership test finish the checks.  Then the survivors' rows are built
+(match, run update) and pushed back, the children of each chunk as chunks
+of their own, lowest on top.  So the chunks of each length are expanded in
 lexicographic order, and the first row of the first chunk to reach a length
-is the least valid word of that length.  A node is one attempted child, as
-in a letter-by-letter search, so a closed tree costs the same node count
-whatever the chunk size.
+is the least valid word of that length.
+
+The trees of few distinct antisquares are narrow and deep, so a chunk often
+holds a few rows, and the cost of an expansion is mostly the fixed cost of
+its array calls.  One expansion therefore takes the chunk on top of the
+stack together with the chunks below it, whatever their lengths, while their
+rows fit in CHUNK; shorter rows are padded so that they never reach a bound.
+This keeps the order above.  Lengths never increase from the top of a
+depth-first stack down, so the chunks below the top one are the ones the
+walk would expand next, in that order.  The walk has already reached the
+top chunk's length d, so a new length can only be d + 1, and the chunks of
+length d come first.  So each expansion hands on the valid children of its
+chunks one chunk at a time, and the first of them to reach a new length is
+still the least word of that length.
+
+A node is one attempted child, as in a letter-by-letter search, so a closed
+tree costs the same node count however the rows are grouped.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,11 +67,9 @@ CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
 # nodes between two checkpoint writes
 CHECKPOINT_EVERY = 5_000_000
 
-# Prefixes per chunk.  The stack holds up to a chunk of pending rows per
-# depth, so wider chunks trade memory for speed: on the search-trees
-# benchmark (seed 2, 2-vCPU VM) 128 and 256 rows took 3.0 and 2.1 s per
-# iteration against 4.0 s for 64, but raised the peak RSS from 41.6 MB to
-# 42.2 and 43.1 MB.
+# Prefixes per chunk, and rows per expansion.  A target search expands one
+# chunk at a time, so its node count depends on this size, and a checkpoint
+# holds chunks of at most this many rows.
 CHUNK = 64
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
@@ -124,6 +138,9 @@ class SearchOutcome:
     witness: Word
     exhausted: bool
     nodes_explored: int
+    # steps of the walk made by this call, each expanding up to CHUNK rows;
+    # unlike nodes_explored, not carried over by a checkpoint
+    expansions: int
     wall_time: float = 0.0
 
 
@@ -132,6 +149,7 @@ class CountOutcome:
     counts: list[int]
     complete: bool
     nodes_explored: int
+    expansions: int
     wall_time: float = 0.0
 
 
@@ -189,6 +207,15 @@ class _Rows:
         return _Rows(*[None if a is None else a[index] for a in (
             self.back, self.eq, self.ne, self.state, self.suffix, self.tags, self.ntags, self.next)])
 
+    def part(self, start: int, stop: int, d: int) -> _Rows:
+        """Rows start:stop as prefixes of length d, as views: the letters and
+        runs past distance d are dropped."""
+        rows = slice(start, stop)
+        return _Rows(
+            *[None if a is None else a[rows, :d] for a in (self.back, self.eq, self.ne)],
+            *[None if a is None else a[rows] for a in (self.state, self.suffix, self.tags, self.ntags, self.next)],
+        )
+
     def letters(self) -> np.ndarray:
         """The prefixes, first letter first (a view)."""
         return self.back[:, ::-1]
@@ -197,6 +224,31 @@ class _Rows:
         d = self.back.shape[1]
         flat = (self.letters() + 48).tobytes().decode()
         return [flat[i : i + d] for i in range(0, len(flat), d)] if d else [""] * len(self)
+
+
+def _merge(groups: list[_Rows]) -> _Rows:
+    """The rows of several chunks as one, the deepest chunk first.  Shorter
+    prefixes are padded with runs of -1, which reach no bound (an edge can
+    be 0) and grow into the 0 that starts a child's new distance, and with
+    the letter 2, which no check reads."""
+    first, size = groups[0], sum(len(g.back) for g in groups)
+    back = np.full((size, first.back.shape[1]), 2, np.uint8)
+    eq = None if first.eq is None else np.full((size, first.eq.shape[1]), -1, first.eq.dtype)
+    ne = None if first.ne is None else np.full((size, first.ne.shape[1]), -1, first.ne.dtype)
+    start = 0
+    for g in groups:
+        stop = start + len(g.back)
+        back[start:stop, : g.back.shape[1]] = g.back
+        if eq is not None:
+            eq[start:stop, : g.eq.shape[1]] = g.eq
+        if ne is not None:
+            ne[start:stop, : g.ne.shape[1]] = g.ne
+        start = stop
+
+    def concatenate(name):
+        return None if getattr(first, name) is None else np.concatenate([getattr(g, name) for g in groups])
+
+    return _Rows(back, eq, ne, *map(concatenate, ("state", "suffix", "tags", "ntags", "next")))
 
 
 class _DFS:
@@ -209,6 +261,7 @@ class _DFS:
         self.max_depth = max_depth
         self.budget = budget
         self.nodes = 0
+        self.expansions = 0
         self.first_letter_limit = 1 if c.complement_closed else 2
         # longest valid word reached so far; a checkpoint carries it, since a
         # resumed run never revisits it
@@ -251,9 +304,10 @@ class _DFS:
         )
         self.stack: list[_Rows] = [self.root] if max_depth > 0 else []
 
-    def _step(self, rows: _Rows, tried: np.ndarray) -> _Rows:
-        """The valid children among the tried ones, in lexicographic order;
-        child 2i + a appends letter a to row i.
+    def _step(self, rows: _Rows, tried: np.ndarray) -> tuple[_Rows, np.ndarray]:
+        """The valid children among the tried ones, in lexicographic order,
+        and the row of each one's parent; child 2i + a appends letter a to
+        row i.
 
         The checks read the parent's runs: a child reaches a bound at
         distance p only where its parent's run there is one short of it and
@@ -264,26 +318,26 @@ class _DFS:
         R, d = rows.back.shape
         n, half = 2 * R, (d + 1) // 2
         back = rows.back
-        bad = ~tried
+        good = tried.copy()
         state = None
         if rows.eq is not None:
             reach = self.power_reach[d + 1]
-            r, p = np.divmod(np.flatnonzero(rows.eq[:, :reach] >= self.eq_edge[:reach]), reach)
-            bad[2 * r + back[r, p]] = True  # the child equal to the letter p+1 back
+            r, p = np.divmod((rows.eq[:, :reach] >= self.eq_edge[:reach]).ravel().nonzero()[0], reach)
+            good[2 * r + back[r, p]] = False  # the child equal to the letter p+1 back
         if rows.state is not None:
             state = self.transitions[rows.state].reshape(n)
-            bad |= state < 0
+            good &= state >= 0
         if rows.ne is not None:
             # antisquares of order k+1 ending at a child: the one whose letter
             # differs from the letter k+1 back
-            r, k = np.divmod(np.flatnonzero(rows.ne[:, :half] >= self.ne_edge[:half]), half)
+            r, k = np.divmod((rows.ne[:, :half] >= self.ne_edge[:half]).ravel().nonzero()[0], half)
             child = 2 * r + 1 - back[r, k]
             if c.max_antisquare_order is not None:
-                bad[child[k >= c.max_antisquare_order - 1]] = True
+                good[child[k >= c.max_antisquare_order - 1]] = False
             if rows.tags is not None:
                 count, child, ids = self._count_antisquares(rows, r, k, child)
-                bad |= count > c.max_distinct_antisquares
-        alive = np.flatnonzero(~bad)
+                good &= count <= c.max_distinct_antisquares
+        alive = good.nonzero()[0]
         parent = alive >> 1
         letter = (alive & 1).astype(np.uint8)
         S = len(alive)
@@ -301,14 +355,14 @@ class _DFS:
             tags, ntags = rows.tags[parent], count[alive]
             if len(child):
                 # the new ids of each surviving child go to its next free slots
-                keep = ~bad[child]
+                keep = good[child]
                 child, ids = child[keep], ids[keep]
-                order = np.argsort(child, kind="stable")
+                order = child.argsort(kind="stable")
                 child, ids = child[order], ids[order]
-                row = np.searchsorted(alive, child)
-                rank = np.arange(len(child)) - np.searchsorted(child, child)
+                row = alive.searchsorted(child)
+                rank = np.arange(len(child)) - child.searchsorted(child)
                 tags[row, rows.ntags[child >> 1] + rank] = ids
-        return _Rows(grown, eq, ne, state, suffix, tags, ntags, np.zeros(S, np.uint8))
+        return _Rows(grown, eq, ne, state, suffix, tags, ntags, np.zeros(S, np.uint8)), parent
 
     @staticmethod
     def _grow(runs: np.ndarray, parent: np.ndarray, extend: np.ndarray, width: int) -> np.ndarray:
@@ -336,7 +390,7 @@ class _DFS:
         bit = np.int64(1) << (np.minimum(order, _TAG_ORDER) if big else order)
         ids = bit | (((rows.suffix[r] << 1) | letter) & (bit - 1))
         if big:
-            for i in np.flatnonzero(order > _TAG_ORDER).tolist():
+            for i in (order > _TAG_ORDER).nonzero()[0].tolist():
                 key = bytes([letter[i]]) + rows.back[r[i], : k[i]].tobytes()
                 ids[i] = self.interned.setdefault(key, -1 - len(self.interned))
         new = ~(rows.tags[r] == ids[:, None]).any(axis=1)
@@ -348,10 +402,12 @@ class _DFS:
             checkpoint_path: Optional[str] = None) -> bool:
         """Walk the rest of the tree, chunks of each length in lexicographic order.
 
-        on_level(letters) gets the valid children of every expansion, one
-        word per row, all of one length and in lexicographic order.  Returns
-        True iff the tree was closed within budget (or, with target set, a
-        word of the target length was reached).
+        One expansion takes the chunk on top of the stack and, unless target
+        is set, the chunks below it while their rows fit in CHUNK and their
+        children in the budget.  on_level(letters) gets the valid children of
+        each of those chunks in turn, one word per row, all of one length and
+        in lexicographic order.  Returns True iff the tree was closed within
+        budget (or, with target set, a word of the target length was reached).
         """
         stack = self.stack
         since_checkpoint = 0
@@ -359,17 +415,29 @@ class _DFS:
             room = self.budget - self.nodes
             if room <= 0:
                 return False
-            rows = stack.pop()
+            groups = [stack.pop()]
+            size = len(groups[0])
+            if target is None:
+                # the chunks below are the ones the walk would expand next
+                # (module docstring); add them while their rows fit in a
+                # chunk and all their children in the budget, but never the
+                # root, whose first letter may be limited
+                while (stack and stack[-1].back.shape[1] and size + len(stack[-1]) <= CHUNK
+                       and 2 * (size + len(stack[-1])) <= room):
+                    groups.append(stack.pop())
+                    size += len(groups[-1])
+            rows = groups[0] if len(groups) == 1 else _merge(groups)
             d = rows.back.shape[1]
-            if d and not rows.next.any():
+            if d and not np.count_nonzero(rows.next):
                 tried, count = _TRY_ALL[: 2 * len(rows)], 2 * len(rows)
             else:
                 letter = _LETTER[: 2 * len(rows)]
                 tried = (letter >= rows.next.repeat(2)) & (letter < (self.first_letter_limit if d == 0 else 2))
                 count = int(np.count_nonzero(tried))
             if count > room:
-                # the budget ends inside this chunk: keep the rows with untried
-                # children, each with the first letter not tried
+                # the budget ends inside this chunk, which is then alone:
+                # keep the rows with untried children, each with the first
+                # letter not tried
                 untried = np.flatnonzero(tried)[room:]
                 tried = tried.copy()
                 tried[untried] = False
@@ -379,21 +447,30 @@ class _DFS:
                 stack.append(rest)
                 count = room
             self.nodes += count
+            self.expansions += 1
             since_checkpoint += count
-            children = self._step(rows, tried)
-            if len(children):
+            children, parent = self._step(rows, tried)
+            # the children of each chunk, cut back to that chunk's length
+            ends = parent.searchsorted(list(accumulate(len(g.back) for g in groups))).tolist()
+            start, pieces = 0, []
+            for g, end in zip(groups, ends):
+                if end == start:
+                    continue
+                depth = g.back.shape[1] + 1
+                kids = children.part(start, end, depth)
+                start = end
                 if on_level is not None:
-                    on_level(children.letters())
-                if d + 1 > len(self.best_text):
-                    self.best_text = children.texts()[0]
-                if target is not None and d + 1 >= target:
+                    on_level(kids.letters())
+                if depth > len(self.best_text):
+                    self.best_text = kids.texts()[0]
+                if target is not None and depth >= target:
                     return True
-                if d + 1 < self.max_depth:
-                    if len(children) <= CHUNK:
-                        stack.append(children)
-                    else:  # copies: a slice would keep its sibling chunks' rows alive
-                        for start in reversed(range(0, len(children), CHUNK)):
-                            stack.append(children.take(np.arange(start, min(start + CHUNK, len(children)))))
+                if depth < self.max_depth:
+                    # copies: a view would keep its sibling pieces' rows alive
+                    # (views raised the peak RSS of search-trees by 1.2 MB)
+                    pieces += [kids] if len(kids) <= CHUNK else [
+                        kids.take(np.arange(i, min(i + CHUNK, len(kids)))) for i in range(0, len(kids), CHUNK)]
+            stack += reversed(pieces)  # lowest on top
             if checkpoint_path and since_checkpoint >= CHECKPOINT_EVERY:
                 since_checkpoint = 0
                 self.save_checkpoint(checkpoint_path)
@@ -489,7 +566,7 @@ class _DFS:
                 break
             tried = np.zeros(2 * live, bool)
             tried[2 * np.arange(live) + letters[:live, d]] = True
-            rows = self._step(rows.take(slice(0, live)), tried)
+            rows = self._step(rows.take(slice(0, live)), tried)[0]
             if len(rows) < live:
                 raise ValueError("corrupt checkpoint: a stored prefix breaks the constraints")
         return groups, position
@@ -523,6 +600,7 @@ def longest_word(
         witness=Word(dfs.best_text, c.alphabet_size),
         exhausted=done,
         nodes_explored=dfs.nodes,
+        expansions=dfs.expansions,
         wall_time=time.monotonic() - start,
     )
 
@@ -548,7 +626,7 @@ def count_by_length(
     if c.complement_closed:
         for i in range(1, n_max + 1):
             counts[i] *= 2
-    return CountOutcome(counts, complete, dfs.nodes, time.monotonic() - start)
+    return CountOutcome(counts, complete, dfs.nodes, dfs.expansions, time.monotonic() - start)
 
 
 def extendable_cores(

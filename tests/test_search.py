@@ -14,6 +14,7 @@ from antisquares.search import (
     CHUNK,
     BudgetExceeded,
     ConstraintSet,
+    _DFS,
     check_word,
     count_by_length,
     extendable_cores,
@@ -150,10 +151,70 @@ def test_budget_flagged():
     assert out.wall_time >= 0
 
 
+CAP8 = ConstraintSet(power=PowerBound.parse("8/3"), max_distinct_antisquares=8)
+
+
 def test_target_short_circuits():
-    out = longest_word(GOOD, target=20, max_depth=64)
-    assert out.exhausted
-    assert out.max_length >= 20
+    # a target search expands one chunk at a time, so its node count is that
+    # of the engine before expansions merged chunks, where these were measured
+    for c, target, max_depth, nodes, witness in (
+        (GOOD, 20, 64, 1587, "0" * 20),
+        (CAP8, 52, 512, 3733, "0010010100110010100110011010011001101011001101011011"),
+        (
+            ConstraintSet(power=PowerBound.parse("17/7"), max_distinct_antisquares=15), 156, 512, 20333,
+            "001011001101001011001001101001100100110100101100100110010110010011010010110010011010"
+            "011001001101001011001001100101100100110100101100100110010110010011001001",
+        ),
+    ):
+        out = longest_word(c, target=target, max_depth=max_depth)
+        assert (out.exhausted, out.max_length, out.nodes_explored, out.witness.text) == (True, target, nodes, witness)
+
+
+def test_merged_expansions_fill_chunks():
+    # the tree is narrow: its chunks hold 16.7 rows on average, and an
+    # expansion merges them
+    out = longest_word(CAP8, max_depth=512)
+    assert (out.exhausted, out.max_length, out.nodes_explored) == (True, 52, 18309)
+    assert out.nodes_explored / out.expansions >= 64  # >= 32 rows per expansion
+
+
+def test_on_level_gets_one_length_per_call():
+    # expansions that merge chunks of several lengths still hand on_level
+    # the words of one length at a time, in order; together they are every
+    # valid word starting with 0 (GOOD is complement-closed)
+    max_depth = 18
+    dfs = _DFS(GOOD, max_depth, 10**9)
+    words: dict[int, list[str]] = {}
+    lengths_by_expansion: dict[int, set[int]] = {}
+
+    def on_level(letters):
+        texts = ["".join(map(str, row)) for row in letters.tolist()]
+        assert texts == sorted(set(texts)) and len({len(t) for t in texts}) == 1
+        words.setdefault(len(texts[0]), []).extend(texts)
+        lengths_by_expansion.setdefault(dfs.expansions, set()).add(len(texts[0]))
+
+    assert dfs.run(on_level)
+    assert any(len(lengths) > 1 for lengths in lengths_by_expansion.values())
+    level = ["0"]
+    for n in range(1, max_depth + 1):
+        assert sorted(words.get(n, [])) == level, n
+        level = sorted(t + a for t in level for a in "01" if brute_ok(GOOD, t + a))
+
+
+def test_interrupted_search_stops_at_budget_and_resumes(tmp_path):
+    # expansions merge chunks only while all their children fit in the
+    # budget, and a resumed run merges the chunks of the checkpoint; power<3/2
+    # has a 0 edge at distance 2, which a padded row must not reach
+    path = str(tmp_path / "state.json")
+    for c in (CAP8, ConstraintSet(power=PowerBound.parse("3/2"), forbidden_factors=frozenset({"111"}))):
+        full = longest_word(c, max_depth=512)
+        want = (full.max_length, full.witness, full.nodes_explored, True)
+        for budget in range(1, full.nodes_explored, max(1, full.nodes_explored // 20)):
+            out = longest_word(c, budget=budget, max_depth=512, checkpoint_path=path)
+            assert not out.exhausted and out.nodes_explored == budget
+            assert check_word(c, out.witness)[0], budget
+            resumed = longest_word(c, max_depth=512, resume_from=path)
+            assert (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted) == want, budget
 
 
 def test_checkpoint_roundtrip(tmp_path):
