@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import fibanalysis, morphisms, search
-from .antisquares import characterized_minimal, inventory, minimal_antisquares
+from .antisquares import MinimalAntisquareTable, characterized_minimal, inventory, minimal_antisquares
 from .repetitions import PowerBound, critical_exponent
 from .words import Word
 
@@ -191,11 +191,10 @@ def cmd_verify_morphism(args) -> int:
 
 def cmd_minimal_antisquares(args) -> int:
     if args.closed_form:
-        for order in range(1, args.max_order + 1):
-            members = sorted(w.text for w in characterized_minimal(order))
-            print(f"{order}\t" + ",".join(members))
+        table = MinimalAntisquareTable({order: characterized_minimal(order) for order in range(1, args.max_order + 1)})
     else:
-        print(minimal_antisquares(args.max_order).render())
+        table = minimal_antisquares(args.max_order)
+    print(table.render())
     return EXIT_OK
 
 
@@ -233,9 +232,9 @@ def cmd_reproduce_tables(args) -> int:
     budget = args.budget or search.DEFAULT_SEARCH_BUDGET
     failures = 0
     budget_hit = False
+    names = ["xi3", "xi5", "xi6"] if args.table in (1, 2) else ["zeta3", "zeta6", "zeta9", "zeta10", "zeta15", "zeta16"]
 
     if args.table in (1, 4):
-        names = ["xi3", "xi5", "xi6"] if args.table == 1 else ["zeta3", "zeta6", "zeta9", "zeta10", "zeta15", "zeta16"]
         for name in names:
             m = registry[name].morphism
             expected = morphisms.UNIFORM_LENGTHS[name]
@@ -244,7 +243,6 @@ def cmd_reproduce_tables(args) -> int:
             print(f"# Table {args.table} {name}: s={m.uniform_length} expected {expected} {'PASS' if ok else 'FAIL'}")
             failures += 0 if ok else 1
     elif args.table in (2, 5):
-        names = ["xi3", "xi5", "xi6"] if args.table == 2 else ["zeta3", "zeta6", "zeta9", "zeta10", "zeta15", "zeta16"]
         for name in names:
             params = morphisms.VERIFICATION_PARAMS[name]
             report = morphisms.verify_construction(name, registry)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -107,10 +107,12 @@ def build_avoidance_automaton(
     return FactorAvoidanceAutomaton(alphabet_size, clean, transitions)
 
 
-def count_series(a: FactorAvoidanceAutomaton, n_max: int) -> CountSeries:
+def _state_counts(a: FactorAvoidanceAutomaton, n_max: int) -> Iterator[list[int]]:
+    """For each length 0..n_max, the number of accepted words of that length
+    that end in each state."""
     vec = [0] * a.num_states
     vec[a.start] = 1
-    counts = [sum(vec)]
+    yield vec
     for _ in range(n_max):
         nxt = [0] * a.num_states
         for i, weight in enumerate(vec):
@@ -119,8 +121,11 @@ def count_series(a: FactorAvoidanceAutomaton, n_max: int) -> CountSeries:
                     if j >= 0:
                         nxt[j] += weight
         vec = nxt
-        counts.append(sum(vec))
-    return CountSeries(counts)
+        yield vec
+
+
+def count_series(a: FactorAvoidanceAutomaton, n_max: int) -> CountSeries:
+    return CountSeries([sum(vec) for vec in _state_counts(a, n_max)])
 
 
 def _live_submatrix(a: FactorAvoidanceAutomaton) -> np.ndarray:
@@ -250,25 +255,13 @@ def pansiot_block_counts(n_max: int) -> list[int]:
 
     These are the binary words avoiding {010, 101, 11111, 01110} (blocks of
     0s of length >= 2, blocks of 1s of length 2 or 4) whose last two letters
-    are 00.  Counted by dynamic programming over (automaton state, last two
-    letters), since the safe-prefix state alone does not retain the suffix.
+    are 00.  A word of two letters or more is in the safe-prefix state "0"
+    exactly when it ends in 00, since "10" is a state and "00" is not, so
+    the counts are the weights of that state.
     """
     aut = build_avoidance_automaton(PANSIOT_CODE_FORBIDDEN)
-    # key: (state, last-two-letters string), value: exact count
-    cur: dict[tuple[int, str], int] = {(aut.start, ""): 1}
-    counts = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        nxt: dict[tuple[int, str], int] = {}
-        for (s, suffix), weight in cur.items():
-            for a in range(2):
-                t = aut.transitions[s][a]
-                if t < 0:
-                    continue
-                key = (t, (suffix + str(a))[-2:])
-                nxt[key] = nxt.get(key, 0) + weight
-        cur = nxt
-        counts[n] = sum(w for (s, suffix), w in cur.items() if suffix == "00")
-    return counts
+    zero = aut.states.index("0")
+    return [vec[zero] if n >= 2 else 0 for n, vec in enumerate(_state_counts(aut, n_max))]
 
 
 def verify_pansiot_recurrence(n_range: range, counts: Optional[list[int]] = None) -> bool:

@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .antisquares import AntisquareInventory, has_complementary_pair, inventory
 from .repetitions import PowerBound, _runs_of
+from .search import ConstraintSet, _DFS, _texts
 from .words import Word
 
 
@@ -104,35 +105,34 @@ def is_synchronizing(m: Morphism) -> bool:
     return True
 
 
+_SQUAREFREE = ConstraintSet(power=PowerBound.parse("2"), alphabet_size=3)
+_SLICE = 4096  # nodes of the tree walked between two batches of words
+
+
 def squarefree_ternary_words(length: int) -> Iterator[Word]:
     """All squarefree ternary words of the given length, lexicographically.
 
-    Backtracking generation; appending a letter can only create squares that
-    are suffixes, so only suffix squares are checked at each step.
+    The search engine walks their tree _SLICE nodes at a time and hands on
+    each slice's words before it walks the next: there are exponentially
+    many, and a caller that takes the first few walks little more.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         yield Word("", 3)
         return
+    dfs = _DFS(_SQUAREFREE, length, 0)
+    found: list[Word] = []
 
-    def extend(prefix: list[str]) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield Word("".join(prefix), 3)
-            return
-        for c in "012":
-            prefix.append(c)
-            n = len(prefix)
-            ok = True
-            for p in range(1, n // 2 + 1):
-                if prefix[n - 2 * p : n - p] == prefix[n - p :]:
-                    ok = False
-                    break
-            if ok:
-                yield from extend(prefix)
-            prefix.pop()
+    def on_level(letters: np.ndarray) -> None:
+        if letters.shape[1] == length:
+            found.extend(Word(text, 3) for text in _texts(letters))
 
-    yield from extend([])
+    while dfs.stack:  # run() leaves chunks on the stack when its budget ends
+        dfs.budget += _SLICE
+        dfs.run(on_level)
+        yield from found
+        found.clear()
 
 
 def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
@@ -255,11 +255,13 @@ def complement_factor_bound(m: Morphism) -> int:
     Raises ValueError for a non-uniform or non-ternary-domain morphism, and
     when pairs persist through windows of MAX_WINDOW letters.
     """
-    length = 1
-    while has_complementary_pair(_window_images(m, length), length):
+    length, images = 1, _window_images(m, 1)  # checks m before any window arithmetic
+    while has_complementary_pair(images, length):
         if length == (MAX_WINDOW - 1) * m.uniform_length:
             raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")
         length += 1
+        if (length - 1) % m.uniform_length == 0:  # ceil(length/q) grew: the window is one letter longer
+            images = _window_images(m, length)
     return length - 1
 
 
@@ -311,10 +313,9 @@ def load_registry() -> dict[str, MorphismRegistryEntry]:
     images: dict[int, str] = {}
     source = ""
     checksum = ""
-    binary_target = True
 
     def flush():
-        nonlocal name, images, source, checksum, binary_target
+        nonlocal name, images, source, checksum
         if name is None:
             return
         ordered = tuple(images[a] for a in sorted(images))

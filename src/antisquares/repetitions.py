@@ -273,9 +273,6 @@ def _lce(rank: np.ndarray, lcp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return out
 
 
-_FLIP = {2: bytes.maketrans(b"01", b"10"), 3: bytes.maketrans(b"012", b"210")}
-
-
 def _runs(w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every run of w, i.e. every maximal repetition with exponent >= 2
     under its minimal period, as int32 arrays (start, period, length) sorted
@@ -289,7 +286,11 @@ def _runs(w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     extends to w[i-b : j+f], where f and b are the longest common extensions
     of i and j to the right and to the left, and is a run with period j-i
     exactly when f + b >= j-i.  Right extensions come from the suffix ranks
-    and LCP array of w, left ones from those of reversed w.  Candidates with
+    and LCP array of w, left ones from those of reversed w.  The ranks of w,
+    reversed, order the suffixes under the reversed letters with '$' taken
+    as greatest; that finds the roots of every run that ends before the end
+    of w, and the others have roots under the alphabet order, so the roots
+    that end there are dropped.  Candidates with
     the same period and right end extend to the same factor, so only one of
     them is extended to the left.  Every array is int32 or smaller but the
     sort keys, and each is dropped once spent: the working set stays near
@@ -297,14 +298,18 @@ def _runs(w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     n = len(w)
     text = (w.text + "$").encode("ascii")  # '$' is below every digit
-    # the roots under the reversed alphabet order, then the alphabet order;
-    # period 1 is left to the blocks
-    flipped = _lyndon_roots(_suffix_ranks(text.translate(_FLIP[w.alphabet_size]))[0])
     rank, sa = _suffix_ranks(text)
     lcp = _lcp_array(text, rank, sa)
     del sa
-    root, end = (np.concatenate(pair) for pair in zip(flipped, _lyndon_roots(rank)))
-    del flipped
+    # the roots under the reversed alphabet order ('$' ranks -1 to stop
+    # _lyndon_roots), then the alphabet order; period 1 is left to the blocks
+    inverse = n - rank
+    inverse[n] = -1
+    flipped = _lyndon_roots(inverse)
+    del inverse
+    inside = flipped[1] < n
+    root, end = (np.concatenate((f[inside], a)) for f, a in zip(flipped, _lyndon_roots(rank)))
+    del flipped, inside
     right = _lce(rank, lcp, root, end)
     del rank, lcp
     # one candidate per (period, end), the one with the leftmost root
@@ -397,8 +402,8 @@ def _squarefree_critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     """critical_exponent by a scan over every period (quadratic)."""
     n = len(w)
     arr = w.array()
-    best_num, best_den = 1, 1  # exponent 1 always attained by a single letter
-    best = Repetition(0, n, n) if smallest_period(w) == n else None
+    # exponent 1, the whole word's, unless some period p < n beats it below
+    best_num, best_den, best = 1, 1, Repetition(0, n, n)
     for p in range(1, n):
         eq = arr[:-p] == arr[p:]
         # only runs that beat the current best matter
@@ -412,9 +417,6 @@ def _squarefree_critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
         if length * best_den > best_num * p:
             best_num, best_den = length, p
             best = Repetition(int(starts[i]), p, length)
-    if best is None:
-        best = Repetition(0, smallest_period(w), n)
-        best_num, best_den = n, best.period
     return Fraction(best_num, best_den), best
 
 
@@ -454,7 +456,6 @@ def satisfies(w: Word, bound: PowerBound) -> tuple[bool, Optional[Repetition]]:
     """
     n = len(w)
     arr = w.array()
-    num, den = bound.threshold.numerator, bound.threshold.denominator
     # only periods with a violating factor that fits: period + min_run <= n
     for p in range(1, n):
         min_run = bound.min_violating_run(p)

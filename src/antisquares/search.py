@@ -1,5 +1,5 @@
-"""Exhaustive constrained search over binary words, one chunk of prefixes
-at a time.
+"""Exhaustive constrained search over words of two or three letters, one
+chunk of prefixes at a time.
 
 The words satisfying a ConstraintSet form a prefix-closed tree.  The engine
 walks it depth first, but the unit of the walk is a chunk: at most CHUNK
@@ -15,12 +15,14 @@ Each row of a chunk carries the state of its frontier:
   * the last 62 letters as an integer and the distinct antisquares met so
     far as a fixed-width int64 row of tags (1<<k) | last k letters.  Orders
     above 62 get exact negative ids from the engine's intern table.
+    Antisquares are binary: rows over three letters have no inequality
+    runs, suffix or tags.
 
-One expansion handles every child of up to CHUNK rows with a few array
-operations.  A child breaks a bound only where its parent's run is one short
-of it and the child's letter extends that run, so the power mask, the
-order-cap mask and the new antisquares come from the few such (row,
-distance) pairs of the parent; the automaton lookup and the new-tag
+One expansion handles every child (one per letter) of up to CHUNK rows with
+a few array operations.  A child breaks a bound only where its parent's run
+is one short of it and the child's letter extends that run, so the power
+mask, the order-cap mask and the new antisquares come from the few such
+(row, distance) pairs of the parent; the automaton lookup and the new-tag
 membership test finish the checks.  Then the survivors' rows are built
 (match, run update) and pushed back, the children of each chunk as chunks
 of their own, lowest on top.  So the chunks of each length are expanded in
@@ -73,10 +75,6 @@ CHECKPOINT_EVERY = 5_000_000
 CHUNK = 64
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
-# the letter of child i of a chunk (its row is i >> 1)
-_LETTER = np.tile(np.array([0, 1], np.uint8), CHUNK)
-_TRY_ALL = np.ones(2 * CHUNK, bool)
-_TRY_ALL.flags.writeable = False
 
 
 class BudgetExceeded(Exception):
@@ -95,6 +93,10 @@ class ConstraintSet:
     alphabet_size: int = 2
 
     def __post_init__(self):
+        if self.alphabet_size not in (2, 3):
+            raise ValueError(f"alphabet_size must be 2 or 3, got {self.alphabet_size}")
+        if self.alphabet_size == 3 and (self.max_antisquare_order, self.max_distinct_antisquares) != (None, None):
+            raise ValueError("antisquare constraints need the binary alphabet")
         if (
             self.power is None
             and self.max_antisquare_order is None
@@ -104,6 +106,8 @@ class ConstraintSet:
             raise ValueError("at least one constraint is required")
         if "" in self.forbidden_factors:
             raise ValueError("a forbidden factor must be nonempty")
+        if not set("".join(self.forbidden_factors)) <= set("012"[: self.alphabet_size]):
+            raise ValueError(f"a forbidden factor uses a letter outside the alphabet of size {self.alphabet_size}")
 
     @property
     def complement_closed(self) -> bool:
@@ -123,6 +127,8 @@ class ConstraintSet:
             parts.append(f"distinct-antisquares<={self.max_distinct_antisquares}")
         if self.forbidden_factors:
             parts.append(f"forbidden={sorted(self.forbidden_factors)}")
+        if self.alphabet_size == 3:
+            parts.append("ternary")
         return " & ".join(parts)
 
 
@@ -220,10 +226,13 @@ class _Rows:
         """The prefixes, first letter first (a view)."""
         return self.back[:, ::-1]
 
-    def texts(self) -> list[str]:
-        d = self.back.shape[1]
-        flat = (self.letters() + 48).tobytes().decode()
-        return [flat[i : i + d] for i in range(0, len(flat), d)] if d else [""] * len(self)
+
+
+def _texts(letters: np.ndarray) -> list[str]:
+    """The rows of a 2-d array of letters as strings."""
+    d = letters.shape[1]
+    flat = (letters + 48).tobytes().decode()
+    return [flat[i : i + d] for i in range(0, len(flat), d)] if d else [""] * len(letters)
 
 
 def _merge(groups: list[_Rows]) -> _Rows:
@@ -255,14 +264,14 @@ class _DFS:
     """Depth-first walk over chunks of same-length prefixes."""
 
     def __init__(self, c: ConstraintSet, max_depth: int, budget: int):
-        if c.alphabet_size != 2:
-            raise ValueError("the search engine works over the binary alphabet")
         self.c = c
+        self.base = c.alphabet_size  # children per row
+        self.letter = np.tile(np.arange(self.base, dtype=np.uint8), CHUNK)  # the letter of child i
         self.max_depth = max_depth
         self.budget = budget
         self.nodes = 0
         self.expansions = 0
-        self.first_letter_limit = 1 if c.complement_closed else 2
+        self.first_letter_limit = 1 if c.complement_closed else self.base
         # longest valid word reached so far; a checkpoint carries it, since a
         # resumed run never revisits it
         self.best_text = ""
@@ -287,8 +296,8 @@ class _DFS:
             self.eq_width = int(self.power_reach[max_depth])
         self.transitions = None
         if c.forbidden_factors:
-            automaton = build_avoidance_automaton(sorted(c.forbidden_factors))
-            self.transitions = np.array(automaton.transitions, dtype=np.int32).reshape(-1, 2)
+            automaton = build_avoidance_automaton(sorted(c.forbidden_factors), self.base)
+            self.transitions = np.array(automaton.transitions, dtype=np.int32).reshape(-1, self.base)
         self.interned: dict[bytes, int] = {}  # antisquares of order > _TAG_ORDER -> negative ids
         antisquares = c.max_antisquare_order is not None or c.max_distinct_antisquares is not None
         counted = c.max_distinct_antisquares is not None
@@ -306,30 +315,30 @@ class _DFS:
 
     def _step(self, rows: _Rows, tried: np.ndarray) -> tuple[_Rows, np.ndarray]:
         """The valid children among the tried ones, in lexicographic order,
-        and the row of each one's parent; child 2i + a appends letter a to
-        row i.
+        and the row of each one's parent; child base*i + a appends letter a
+        to row i.
 
         The checks read the parent's runs: a child reaches a bound at
         distance p only where its parent's run there is one short of it and
         the child's letter extends that run, so only those few (row,
         distance) pairs are looked at.  The survivors' rows are built last.
         """
-        c = self.c
+        c, base = self.c, self.base
         R, d = rows.back.shape
-        n, half = 2 * R, (d + 1) // 2
+        n, half = base * R, (d + 1) // 2
         back = rows.back
         good = tried.copy()
         state = None
         if rows.eq is not None:
             reach = self.power_reach[d + 1]
             r, p = np.divmod((rows.eq[:, :reach] >= self.eq_edge[:reach]).ravel().nonzero()[0], reach)
-            good[2 * r + back[r, p]] = False  # the child equal to the letter p+1 back
+            good[base * r + back[r, p]] = False  # the child equal to the letter p+1 back
         if rows.state is not None:
             state = self.transitions[rows.state].reshape(n)
             good &= state >= 0
         if rows.ne is not None:
             # antisquares of order k+1 ending at a child: the one whose letter
-            # differs from the letter k+1 back
+            # differs from the letter k+1 back (antisquare rows are binary)
             r, k = np.divmod((rows.ne[:, :half] >= self.ne_edge[:half]).ravel().nonzero()[0], half)
             child = 2 * r + 1 - back[r, k]
             if c.max_antisquare_order is not None:
@@ -338,8 +347,8 @@ class _DFS:
                 count, child, ids = self._count_antisquares(rows, r, k, child)
                 good &= count <= c.max_distinct_antisquares
         alive = good.nonzero()[0]
-        parent = alive >> 1
-        letter = (alive & 1).astype(np.uint8)
+        parent, letter = np.divmod(alive, base)
+        letter = letter.astype(np.uint8)
         S = len(alive)
         grown = np.empty((S, d + 1), np.uint8)
         grown[:, 0] = letter
@@ -409,7 +418,7 @@ class _DFS:
         in lexicographic order.  Returns True iff the tree was closed within
         budget (or, with target set, a word of the target length was reached).
         """
-        stack = self.stack
+        stack, base = self.stack, self.base
         since_checkpoint = 0
         while stack:
             room = self.budget - self.nodes
@@ -423,27 +432,26 @@ class _DFS:
                 # chunk and all their children in the budget, but never the
                 # root, whose first letter may be limited
                 while (stack and stack[-1].back.shape[1] and size + len(stack[-1]) <= CHUNK
-                       and 2 * (size + len(stack[-1])) <= room):
+                       and base * (size + len(stack[-1])) <= room):
                     groups.append(stack.pop())
                     size += len(groups[-1])
             rows = groups[0] if len(groups) == 1 else _merge(groups)
             d = rows.back.shape[1]
             if d and not np.count_nonzero(rows.next):
-                tried, count = _TRY_ALL[: 2 * len(rows)], 2 * len(rows)
+                tried, count = np.ones(base * len(rows), bool), base * len(rows)
             else:
-                letter = _LETTER[: 2 * len(rows)]
-                tried = (letter >= rows.next.repeat(2)) & (letter < (self.first_letter_limit if d == 0 else 2))
+                letter = self.letter[: base * len(rows)]
+                tried = (letter >= rows.next.repeat(base)) & (letter < (self.first_letter_limit if d == 0 else base))
                 count = int(np.count_nonzero(tried))
             if count > room:
                 # the budget ends inside this chunk, which is then alone:
                 # keep the rows with untried children, each with the first
                 # letter not tried
                 untried = np.flatnonzero(tried)[room:]
-                tried = tried.copy()
                 tried[untried] = False
-                first = untried[np.flatnonzero(np.diff(untried >> 1, prepend=-1))]
-                rest = rows.take(first >> 1)
-                rest.next = _LETTER[first]
+                first = untried[np.flatnonzero(np.diff(untried // base, prepend=-1))]
+                rest = rows.take(first // base)
+                rest.next = self.letter[first]
                 stack.append(rest)
                 count = room
             self.nodes += count
@@ -462,7 +470,7 @@ class _DFS:
                 if on_level is not None:
                     on_level(kids.letters())
                 if depth > len(self.best_text):
-                    self.best_text = kids.texts()[0]
+                    self.best_text = _texts(kids.letters()[:1])[0]
                 if target is not None and depth >= target:
                     return True
                 if depth < self.max_depth:
@@ -484,7 +492,7 @@ class _DFS:
             "magic": CHECKPOINT_MAGIC,
             "constraints": self.c.describe(),
             "max_depth": self.max_depth,
-            "stack": [[[t, a] for t, a in zip(rows.texts(), rows.next.tolist())] for rows in self.stack],
+            "stack": [[[t, a] for t, a in zip(_texts(rows.letters()), rows.next.tolist())] for rows in self.stack],
             "nodes": self.nodes,
             "best_witness": self.best_text,
         }
@@ -510,24 +518,24 @@ class _DFS:
             )
         stack, nodes, best = state.get("stack"), state.get("nodes"), state.get("best_witness")
 
-        def binary(text) -> bool:
-            return isinstance(text, str) and set(text) <= {"0", "1"}
+        def word(text) -> bool:
+            return isinstance(text, str) and set(text) <= set("012"[: self.base])
 
         def chunk_ok(chunk) -> bool:
             if not (isinstance(chunk, list) and 1 <= len(chunk) <= CHUNK
                     and all(isinstance(row, list) and len(row) == 2 for row in chunk)):
                 return False
-            d = len(chunk[0][0]) if binary(chunk[0][0]) else -1
-            limit = self.first_letter_limit if d == 0 else 2
+            d = len(chunk[0][0]) if word(chunk[0][0]) else -1
+            limit = self.first_letter_limit if d == 0 else self.base
             return 0 <= d < self.max_depth and all(
-                binary(t) and len(t) == d and (self.first_letter_limit == 2 or not t.startswith("1"))
+                word(t) and len(t) == d and (self.first_letter_limit > 1 or not t.startswith("1"))
                 and type(a) is int and 0 <= a < limit for t, a in chunk
             ) and all(u[0] < v[0] for u, v in zip(chunk, chunk[1:]))  # rows strictly increase
 
         if not (
             isinstance(stack, list)
             and all(map(chunk_ok, stack))
-            and binary(best)
+            and word(best)
             and len(best) <= self.max_depth
             and type(nodes) is int
             and nodes >= 0
@@ -564,8 +572,8 @@ class _DFS:
                     position[order[r]] = pos
             if not live:
                 break
-            tried = np.zeros(2 * live, bool)
-            tried[2 * np.arange(live) + letters[:live, d]] = True
+            tried = np.zeros(self.base * live, bool)
+            tried[self.base * np.arange(live) + letters[:live, d]] = True
             rows = self._step(rows.take(slice(0, live)), tried)[0]
             if len(rows) < live:
                 raise ValueError("corrupt checkpoint: a stored prefix breaks the constraints")
@@ -647,8 +655,7 @@ def extendable_cores(
 
     def on_level(letters: np.ndarray) -> None:
         if letters.shape[1] == total:
-            flat = (letters[:, pad_len : pad_len + core_len] + 48).tobytes().decode()
-            cores.update(flat[i : i + core_len] for i in range(0, len(flat), core_len))
+            cores.update(_texts(letters[:, pad_len : pad_len + core_len]))
 
     complete = dfs.run(on_level)
     if not complete:

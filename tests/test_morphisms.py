@@ -72,10 +72,20 @@ def test_is_synchronizing():
 
 
 def test_squarefree_ternary_counts():
-    # classical counts of squarefree ternary words
-    expected = {0: 1, 1: 3, 2: 6, 3: 12, 4: 18, 5: 30, 6: 42, 7: 60}
-    for n, c in expected.items():
-        assert sum(1 for _ in squarefree_ternary_words(n)) == c
+    # classical counts of squarefree ternary words (OEIS A006156)
+    expected = [1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388,
+                3180, 4146, 5418, 7032]
+    assert [sum(1 for _ in squarefree_ternary_words(n)) for n in range(25)] == expected
+
+
+def is_squarefree(t: str) -> bool:
+    return not any(t[i : i + p] == t[i + p : i + 2 * p] for p in range(1, len(t) // 2 + 1) for i in range(len(t) - 2 * p + 1))
+
+
+def test_squarefree_ternary_words_match_brute():
+    for n in range(10):
+        want = [t for t in map("".join, product("012", repeat=n)) if is_squarefree(t)]
+        assert [u.text for u in squarefree_ternary_words(n)] == want, n
 
 
 def test_squarefree_ternary_words_are_squarefree():

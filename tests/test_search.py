@@ -44,6 +44,22 @@ def test_constraint_set_describe():
     assert "antisquare-order<4" in c.describe()
 
 
+def test_constraint_set_alphabet():
+    with pytest.raises(ValueError, match="binary"):
+        ConstraintSet(power=PowerBound.parse("2"), max_antisquare_order=3, alphabet_size=3)
+    with pytest.raises(ValueError, match="binary"):
+        ConstraintSet(max_distinct_antisquares=3, alphabet_size=3)
+    with pytest.raises(ValueError, match="2 or 3"):
+        ConstraintSet(power=PowerBound.parse("2"), alphabet_size=4)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        ConstraintSet(forbidden_factors=frozenset({"2"}))
+    ternary = ConstraintSet(power=PowerBound.parse("2"), forbidden_factors=frozenset({"2"}), alphabet_size=3)
+    assert not ternary.complement_closed
+    # binary descriptions are those of earlier checkpoints; a ternary one differs
+    assert SQUAREFREEISH.describe() == "power<2/1"
+    assert ternary.describe() == "power<2/1 & forbidden=['2'] & ternary"
+
+
 def test_complement_closed():
     assert SQUAREFREEISH.complement_closed
     assert GOOD.complement_closed
@@ -149,6 +165,52 @@ def test_budget_flagged():
     assert not out.complete
     assert out.nodes_explored == 50
     assert out.wall_time >= 0
+
+
+SQUAREFREE_TERNARY = ConstraintSet(power=PowerBound.parse("2"), alphabet_size=3)
+
+
+def test_count_squarefree_ternary():
+    # OEIS A006156
+    assert count_by_length(SQUAREFREE_TERNARY, 24).counts == [
+        1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388,
+        3180, 4146, 5418, 7032,
+    ]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        ConstraintSet(power=PowerBound.parse("7/3"), forbidden_factors=frozenset({"00", "12"}), alphabet_size=3),
+        ConstraintSet(forbidden_factors=frozenset({"11", "202", "0120"}), alphabet_size=3),
+        ConstraintSet(power=PowerBound.parse("3/2+"), alphabet_size=3),
+    ],
+)
+def test_ternary_search_matches_brute(c):
+    words = {n: ["".join(t) for t in product("012", repeat=n) if brute_ok(c, "".join(t))] for n in range(9)}
+    out = count_by_length(c, 8)
+    assert out.complete and out.counts == [len(words[n]) for n in range(9)]
+    longest = max(n for n in words if words[n])
+    out = longest_word(c, max_depth=8)
+    assert out.max_length == longest and out.witness.text == words[longest][0]
+
+
+def test_ternary_search_resumes_from_checkpoint(tmp_path):
+    path = str(tmp_path / "state.json")
+    full = longest_word(SQUAREFREE_TERNARY, max_depth=10)
+    want = (full.max_length, full.witness, full.nodes_explored, True)
+    assert full.exhausted and full.witness == Word("0102012021", 3)
+    next_letters = set()
+    for budget in range(1, full.nodes_explored, 7):
+        out = longest_word(SQUAREFREE_TERNARY, budget=budget, max_depth=10, checkpoint_path=path)
+        assert not out.exhausted and out.nodes_explored == budget
+        with open(path) as fh:
+            next_letters.update(a for chunk in json.load(fh)["stack"] for _, a in chunk)
+        resumed = longest_word(SQUAREFREE_TERNARY, max_depth=10, resume_from=path)
+        assert (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted) == want, budget
+    assert next_letters == {0, 1, 2}  # some row resumes at each letter
+    with pytest.raises(ValueError, match="different constraints"):
+        longest_word(SQUAREFREEISH, max_depth=10, resume_from=path)
 
 
 CAP8 = ConstraintSet(power=PowerBound.parse("8/3"), max_distinct_antisquares=8)
