@@ -1,10 +1,10 @@
-"""Exhaustive constrained search over words of two or three letters, one
-chunk of prefixes at a time.
+"""Exhaustive constrained search over words of two or three letters, many
+prefixes at a time.
 
 The words satisfying a ConstraintSet form a prefix-closed tree.  The engine
-walks it depth first, but the unit of the walk is a chunk: at most CHUNK
-prefixes of one length that are next to each other in lexicographic order.
-Each row of a chunk carries the state of its frontier:
+walks it depth first over segments: prefixes of one length that are next to
+each other in lexicographic order, rows of one array.  Each row carries the
+state of its frontier:
 
   * for every distance p, the maximal equality run and inequality run
     ending at the frontier (int16 while max_depth <= 32767).  An equality
@@ -18,32 +18,27 @@ Each row of a chunk carries the state of its frontier:
     Antisquares are binary: rows over three letters have no inequality
     runs, suffix or tags.
 
-One expansion handles every child (one per letter) of up to CHUNK rows with
-a few array operations.  A child breaks a bound only where its parent's run
-is one short of it and the child's letter extends that run, so the power
-mask, the order-cap mask and the new antisquares come from the few such
-(row, distance) pairs of the parent; the automaton lookup and the new-tag
+One expansion handles every child (one per letter) of many rows with a few
+array operations.  A child breaks a bound only where its parent's run is one
+short of it and the child's letter extends that run, so the power mask, the
+order-cap mask and the new antisquares come from the few such (row,
+distance) pairs of the parent; the automaton lookup and the new-tag
 membership test finish the checks.  Then the survivors' rows are built
-(match, run update) and pushed back, the children of each chunk as chunks
-of their own, lowest on top.  So the chunks of each length are expanded in
-lexicographic order, and the first row of the first chunk to reach a length
-is the least valid word of that length.
+(match, run update), and the children of the rows taken from each segment go
+back on the stack as one segment, lowest on top.  So the rows of each length
+are expanded in lexicographic order, and the first row of the first segment
+to reach a length is the least valid word of that length.
 
-The trees of few distinct antisquares are narrow and deep, so a chunk often
-holds a few rows, and the cost of an expansion is mostly the fixed cost of
-its array calls.  One expansion therefore takes the chunk on top of the
-stack together with the chunks below it, whatever their lengths, while their
-rows fit in CHUNK; shorter rows are padded so that they never reach a bound.
-This keeps the order above.  Lengths never increase from the top of a
-depth-first stack down, so the chunks below the top one are the ones the
-walk would expand next, in that order.  The walk has already reached the
-top chunk's length d, so a new length can only be d + 1, and the chunks of
-length d come first.  So each expansion hands on the valid children of its
-chunks one chunk at a time, and the first of them to reach a new length is
-still the least word of that length.
-
-A node is one attempted child, as in a letter-by-letter search, so a closed
-tree costs the same node count however the rows are grouped.
+An expansion takes the first CHUNK rows of the top segment in a search for
+a target length, whose node count depends on this grouping.  A node is one
+attempted child, so a closed tree costs the same node count however the rows
+are grouped, and the cost of an expansion is mostly the fixed cost of its
+array calls: a closed search takes up to MERGE_ROWS rows, from the top
+segment and then the segments below it, whatever their lengths; shorter rows
+are padded so that they never reach a bound.  This keeps the order above.
+Lengths never increase from the top of a depth-first stack down, so the rows
+below are the ones the walk would expand next, in that order, and a new
+length can only be the top segment's length plus one.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,10 +64,13 @@ CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
 # nodes between two checkpoint writes
 CHECKPOINT_EVERY = 5_000_000
 
-# Prefixes per chunk, and rows per expansion.  A target search expands one
-# chunk at a time, so its node count depends on this size, and a checkpoint
-# holds chunks of at most this many rows.
+# Prefixes per chunk.  A target search expands one chunk at a time, so its
+# node count depends on this size, and a checkpoint holds chunks of at most
+# this many rows.
 CHUNK = 64
+# Rows per expansion of a closed search.  Larger expansions cost less per
+# node, but their rows and children take more memory while they are built.
+MERGE_ROWS = 512
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
 
@@ -144,8 +142,9 @@ class SearchOutcome:
     witness: Word
     exhausted: bool
     nodes_explored: int
-    # steps of the walk made by this call, each expanding up to CHUNK rows;
-    # unlike nodes_explored, not carried over by a checkpoint
+    # steps of the walk made by this call, each expanding up to MERGE_ROWS
+    # rows (CHUNK with a target); unlike nodes_explored, not carried over by
+    # a checkpoint
     expansions: int
     wall_time: float = 0.0
 
@@ -209,23 +208,29 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.back)
 
-    def take(self, index) -> _Rows:
-        return _Rows(*[None if a is None else a[index] for a in (
-            self.back, self.eq, self.ne, self.state, self.suffix, self.tags, self.ntags, self.next)])
-
-    def part(self, start: int, stop: int, d: int) -> _Rows:
-        """Rows start:stop as prefixes of length d, as views: the letters and
-        runs past distance d are dropped."""
-        rows = slice(start, stop)
+    def take(self, index, d: Optional[int] = None) -> _Rows:
+        """The rows at index (views if it is a slice); with d, as prefixes of
+        length d: the letters and runs past distance d are dropped."""
+        cols = slice(d)
         return _Rows(
-            *[None if a is None else a[rows, :d] for a in (self.back, self.eq, self.ne)],
-            *[None if a is None else a[rows] for a in (self.state, self.suffix, self.tags, self.ntags, self.next)],
+            *[None if a is None else a[index, cols] for a in (self.back, self.eq, self.ne)],
+            *[None if a is None else a[index] for a in (self.state, self.suffix, self.tags, self.ntags, self.next)],
         )
+
+
+class _Segment(NamedTuple):
+    """An entry of the stack: rows start:stop of rows, as prefixes of length
+    d.  The children of one expansion go on the stack as one segment per
+    length, all of them rows of one array."""
+
+    rows: _Rows
+    start: int
+    stop: int
+    d: int
 
     def letters(self) -> np.ndarray:
         """The prefixes, first letter first (a view)."""
-        return self.back[:, ::-1]
-
+        return self.rows.back[self.start : self.stop, : self.d][:, ::-1]
 
 
 def _texts(letters: np.ndarray) -> list[str]:
@@ -235,38 +240,43 @@ def _texts(letters: np.ndarray) -> list[str]:
     return [flat[i : i + d] for i in range(0, len(flat), d)] if d else [""] * len(letters)
 
 
-def _merge(groups: list[_Rows]) -> _Rows:
-    """The rows of several chunks as one, the deepest chunk first.  Shorter
-    prefixes are padded with runs of -1, which reach no bound (an edge can
-    be 0) and grow into the 0 that starts a child's new distance, and with
-    the letter 2, which no check reads."""
-    first, size = groups[0], sum(len(g.back) for g in groups)
-    back = np.full((size, first.back.shape[1]), 2, np.uint8)
-    eq = None if first.eq is None else np.full((size, first.eq.shape[1]), -1, first.eq.dtype)
-    ne = None if first.ne is None else np.full((size, first.ne.shape[1]), -1, first.ne.dtype)
-    start = 0
-    for g in groups:
-        stop = start + len(g.back)
-        back[start:stop, : g.back.shape[1]] = g.back
-        if eq is not None:
-            eq[start:stop, : g.eq.shape[1]] = g.eq
-        if ne is not None:
-            ne[start:stop, : g.ne.shape[1]] = g.ne
-        start = stop
-
-    def concatenate(name):
-        return None if getattr(first, name) is None else np.concatenate([getattr(g, name) for g in groups])
-
-    return _Rows(back, eq, ne, *map(concatenate, ("state", "suffix", "tags", "ntags", "next")))
+def _merge(groups: list[_Segment]) -> _Rows:
+    """The rows of several segments as one, the deepest segment first, as a
+    view where they are consecutive rows of one array.  Shorter prefixes are
+    padded with runs of -1, which reach no bound (an edge can be 0) and grow
+    into the 0 that starts a child's new distance; no check reads their
+    letters past their length."""
+    runs: list[list] = []  # [rows, start, stop, d] of consecutive rows of one array
+    for rows, start, stop, d in groups:
+        if runs and rows is runs[-1][0] and start == runs[-1][2]:
+            runs[-1][2] = stop
+        else:
+            runs.append([rows, start, stop, d])
+    parts = [rows.take(slice(start, stop), d) for rows, start, stop, d in runs]
+    if len(parts) == 1:
+        return parts[0]
+    first, size = parts[0], sum(map(len, parts))
+    merged = _Rows(
+        np.empty((size, first.back.shape[1]), np.uint8),
+        *[None if a is None else np.full((size, a.shape[1]), -1, a.dtype) for a in (first.eq, first.ne)],
+        *[None if getattr(first, name) is None else np.concatenate([getattr(p, name) for p in parts])
+          for name in ("state", "suffix", "tags", "ntags", "next")],
+    )
+    at = 0
+    for p in parts:
+        for to, a in ((merged.back, p.back), (merged.eq, p.eq), (merged.ne, p.ne)):
+            if a is not None:
+                to[at : at + len(p), : a.shape[1]] = a
+        at += len(p)
+    return merged
 
 
 class _DFS:
-    """Depth-first walk over chunks of same-length prefixes."""
+    """Depth-first walk over segments of same-length prefixes."""
 
     def __init__(self, c: ConstraintSet, max_depth: int, budget: int):
         self.c = c
         self.base = c.alphabet_size  # children per row
-        self.letter = np.tile(np.arange(self.base, dtype=np.uint8), CHUNK)  # the letter of child i
         self.max_depth = max_depth
         self.budget = budget
         self.nodes = 0
@@ -301,6 +311,8 @@ class _DFS:
         self.interned: dict[bytes, int] = {}  # antisquares of order > _TAG_ORDER -> negative ids
         antisquares = c.max_antisquare_order is not None or c.max_distinct_antisquares is not None
         counted = c.max_distinct_antisquares is not None
+        # the distances at which rows keep runs, which read whether letters match
+        self.match_width = max(self.eq_width if c.power is not None else 0, self.ne_width if antisquares else 0)
         self.root = _Rows(
             np.zeros((1, 0), np.uint8),
             np.zeros((1, 0), dtype) if c.power is not None else None,
@@ -311,7 +323,7 @@ class _DFS:
             np.zeros(1, np.int64) if counted else None,
             np.zeros(1, np.uint8),
         )
-        self.stack: list[_Rows] = [self.root] if max_depth > 0 else []
+        self.stack: list[_Segment] = [_Segment(self.root, 0, 1, 0)] if max_depth > 0 else []
 
     def _step(self, rows: _Rows, tried: np.ndarray) -> tuple[_Rows, np.ndarray]:
         """The valid children among the tried ones, in lexicographic order,
@@ -352,8 +364,8 @@ class _DFS:
         S = len(alive)
         grown = np.empty((S, d + 1), np.uint8)
         grown[:, 0] = letter
-        grown[:, 1:] = back[parent]
-        match = grown[:, 1:] == letter[:, None]
+        back.take(parent, 0, grown[:, 1:], "clip")
+        match = grown[:, 1 : 1 + self.match_width] == letter[:, None]
         eq = None if rows.eq is None else self._grow(rows.eq, parent, match, self.eq_width)
         ne = None if rows.ne is None else self._grow(rows.ne, parent, np.logical_not(match, out=match), self.ne_width)
         suffix = tags = ntags = None
@@ -379,14 +391,12 @@ class _DFS:
         letter extends it, else 0, and a new 0 column for the next distance
         while the row is narrower than width."""
         w = runs.shape[1]
-        extended = runs[parent]
+        grown = np.empty((len(parent), w + (w < width)), runs.dtype)
+        extended = grown[:, :w]
+        runs.take(parent, 0, extended, "clip")  # mode "raise" would gather into a buffer first
         extended += 1
-        if w == width:
-            extended *= extend[:, :w]
-            return extended
-        grown = np.empty((len(parent), w + 1), runs.dtype)
-        np.multiply(extended, extend[:, :w], out=grown[:, :w])
-        grown[:, w] = 0
+        extended *= extend[:, :w]
+        grown[:, w:] = 0
         return grown
 
     def _count_antisquares(self, rows, r, k, child):
@@ -409,64 +419,76 @@ class _DFS:
 
     def run(self, on_level: Optional[Callable[[np.ndarray], None]] = None, target: Optional[int] = None,
             checkpoint_path: Optional[str] = None) -> bool:
-        """Walk the rest of the tree, chunks of each length in lexicographic order.
+        """Walk the rest of the tree, rows of each length in lexicographic order.
 
-        One expansion takes the chunk on top of the stack and, unless target
-        is set, the chunks below it while their rows fit in CHUNK and their
-        children in the budget.  on_level(letters) gets the valid children of
-        each of those chunks in turn, one word per row, all of one length and
+        An expansion of a closed search takes rows while all their children
+        fit in the budget.  on_level(letters) gets the valid children of the
+        rows of each segment it took, one word per row, all of one length and
         in lexicographic order.  Returns True iff the tree was closed within
         budget (or, with target set, a word of the target length was reached).
         """
-        stack, base = self.stack, self.base
-        since_checkpoint = 0
-        while stack:
-            room = self.budget - self.nodes
-            if room <= 0:
+        saved = self.nodes
+        while self.stack:
+            if self.nodes >= self.budget:
                 return False
-            groups = [stack.pop()]
-            size = len(groups[0])
-            if target is None:
-                # the chunks below are the ones the walk would expand next
-                # (module docstring); add them while their rows fit in a
-                # chunk and all their children in the budget, but never the
-                # root, whose first letter may be limited
-                while (stack and stack[-1].back.shape[1] and size + len(stack[-1]) <= CHUNK
-                       and base * (size + len(stack[-1])) <= room):
-                    groups.append(stack.pop())
-                    size += len(groups[-1])
-            rows = groups[0] if len(groups) == 1 else _merge(groups)
-            d = rows.back.shape[1]
-            if d and not np.count_nonzero(rows.next):
-                tried, count = np.ones(base * len(rows), bool), base * len(rows)
-            else:
-                letter = self.letter[: base * len(rows)]
-                tried = (letter >= rows.next.repeat(base)) & (letter < (self.first_letter_limit if d == 0 else base))
-                count = int(np.count_nonzero(tried))
-            if count > room:
-                # the budget ends inside this chunk, which is then alone:
-                # keep the rows with untried children, each with the first
-                # letter not tried
-                untried = np.flatnonzero(tried)[room:]
-                tried[untried] = False
-                first = untried[np.flatnonzero(np.diff(untried // base, prepend=-1))]
-                rest = rows.take(first // base)
-                rest.next = self.letter[first]
-                stack.append(rest)
-                count = room
-            self.nodes += count
-            self.expansions += 1
-            since_checkpoint += count
-            children, parent = self._step(rows, tried)
-            # the children of each chunk, cut back to that chunk's length
-            ends = parent.searchsorted(list(accumulate(len(g.back) for g in groups))).tolist()
-            start, pieces = 0, []
-            for g, end in zip(groups, ends):
-                if end == start:
-                    continue
-                depth = g.back.shape[1] + 1
-                kids = children.part(start, end, depth)
-                start = end
+            if self._expand(on_level, target):
+                return True
+            if checkpoint_path and self.nodes - saved >= CHECKPOINT_EVERY:
+                saved = self.nodes
+                self.save_checkpoint(checkpoint_path)
+        return True
+
+    def _expand(self, on_level, target) -> bool:
+        """One expansion of run(); True iff a child reached the target length.
+        The arrays of the step go when it returns, before the next one."""
+        stack, base, room = self.stack, self.base, self.budget - self.nodes
+        cap, groups, size = CHUNK if target is not None else MERGE_ROWS, [], 0
+        # the first rows of the top segment; in a closed search also those of
+        # the segments below, the ones the walk would expand next (module
+        # docstring), while all their children fit in the budget, but never
+        # the root, whose first letter may be limited
+        while stack and size < cap and (not groups or target is None and stack[-1].d and base * (size + 1) <= room):
+            rows, start, stop, d = stack.pop()
+            k = min(stop - start, (min(cap, room // base) if groups else cap) - size)
+            if k < stop - start:
+                stack.append(_Segment(rows, start + k, stop, d))
+            groups.append(_Segment(rows, start, start + k, d))
+            size += k
+        self._compact()
+        rows, d = _merge(groups), groups[0].d
+        # the size and child length of each group; the segments go, so that
+        # the step keeps no array alive that it does not read
+        groups = [(g.stop - g.start, g.d + 1) for g in groups]
+        if d and not np.count_nonzero(rows.next):
+            tried, count = np.ones(base * size, bool), base * size
+        else:
+            letter = np.arange(base * size) % base
+            tried = (letter >= rows.next.repeat(base)) & (letter < (self.first_letter_limit if d == 0 else base))
+            count = int(np.count_nonzero(tried))
+        if count > room:
+            # the budget ends inside the first group, which is then alone:
+            # keep the rows with untried children, each with the first letter
+            # not tried
+            untried = np.flatnonzero(tried)[room:]
+            tried[untried] = False
+            first = untried[np.flatnonzero(np.diff(untried // base, prepend=-1))]
+            rest = rows.take(first // base)
+            rest.next = (first % base).astype(np.uint8)
+            stack.append(_Segment(rest, 0, len(rest), d))
+            count = room
+        self.nodes += count
+        self.expansions += 1
+        children, parent = self._step(rows, tried)
+        # the children of each group, as one segment of its length
+        ends = [len(children)] if len(groups) == 1 else parent.searchsorted(
+            list(accumulate(n for n, _ in groups))).tolist()
+        start, segments = 0, []
+        for (_, depth), end in zip(groups, ends):
+            if end > start:
+                kids = _Segment(children, start, end, depth)
+                for a in (children.eq, children.ne) if depth <= d else ():
+                    if a is not None:
+                        a[start:end, depth:] = -1  # pads past the length, as _merge has them
                 if on_level is not None:
                     on_level(kids.letters())
                 if depth > len(self.best_text):
@@ -474,25 +496,38 @@ class _DFS:
                 if target is not None and depth >= target:
                     return True
                 if depth < self.max_depth:
-                    # copies: a view would keep its sibling pieces' rows alive
-                    # (views raised the peak RSS of search-trees by 1.2 MB)
-                    pieces += [kids] if len(kids) <= CHUNK else [
-                        kids.take(np.arange(i, min(i + CHUNK, len(kids)))) for i in range(0, len(kids), CHUNK)]
-            stack += reversed(pieces)  # lowest on top
-            if checkpoint_path and since_checkpoint >= CHECKPOINT_EVERY:
-                since_checkpoint = 0
-                self.save_checkpoint(checkpoint_path)
-        return True
+                    segments.append(kids)
+            start = end
+        stack += reversed(segments)  # lowest on top
+        return False
+
+    def _compact(self) -> None:
+        """Copy out the segments on top of the stack that are rows of one
+        array once they hold less than half of its letters, so that the rows
+        already taken from it do not stay alive with them."""
+        stack = self.stack
+        i = len(stack)
+        while i and stack[i - 1].rows is stack[-1].rows:
+            i -= 1
+        top = stack[i:]
+        if top and 2 * sum((g.stop - g.start) * g.d for g in top) < top[0].rows.back.size:
+            stack[i:] = [_Segment(rows.take(np.arange(start, stop), d), 0, stop - start, d)
+                         for rows, start, stop, d in top]
 
     def save_checkpoint(self, path: str) -> None:
         """Write the search state atomically: a temporary file is made
-        durable and then renamed over path.  The chunk stack is stored bottom
-        first, each chunk as [prefix, next letter] rows."""
+        durable and then renamed over path.  The stack is stored bottom first
+        as chunks of at most CHUNK [prefix, next letter] rows, each segment
+        cut into chunks from its last rows up, so its first rows stay on top."""
+        chunks = []
+        for seg in self.stack:
+            rows = [[t, a] for t, a in zip(_texts(seg.letters()), seg.rows.next[seg.start : seg.stop].tolist())]
+            chunks += [rows[i : i + CHUNK] for i in reversed(range(0, len(rows), CHUNK))]
         state = {
             "magic": CHECKPOINT_MAGIC,
             "constraints": self.c.describe(),
             "max_depth": self.max_depth,
-            "stack": [[[t, a] for t, a in zip(_texts(rows.letters()), rows.next.tolist())] for rows in self.stack],
+            "stack": chunks,
             "nodes": self.nodes,
             "best_witness": self.best_text,
         }
@@ -546,7 +581,7 @@ class _DFS:
         for chunk in stack:
             rows = groups[len(chunk[0][0])].take(position[i : i + len(chunk)])
             rows.next = np.array([a for _, a in chunk], np.uint8)
-            self.stack.append(rows)
+            self.stack.append(_Segment(rows, 0, len(rows), len(chunk[0][0])))
             i += len(chunk)
         self.nodes = nodes
         self.best_text = best

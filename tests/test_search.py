@@ -474,3 +474,67 @@ def test_extendable_cores_match_reference():
 
     assert dfs.run(on_word)
     assert {w.text for w in extendable_cores(c, core, pad)} == want
+
+
+STRICT_15_4 = ConstraintSet(power=PowerBound(Fraction(15, 4), forbid_equal=True), max_antisquare_order=2)
+
+
+@pytest.mark.parametrize("c,max_depth", [(ConstraintSet(power=beta("4"), forbidden_factors=CORE_FORBIDDEN), 40),
+                                         (STRICT_15_4, 60)])
+def test_closed_expansions_span_chunks(c, max_depth):
+    # both are agreement cases, so the reference checks expansions of more
+    # than CHUNK rows on average (two nodes a row)
+    for out in (count_by_length(c, max_depth, budget=10**9), longest_word(c, max_depth=max_depth)):
+        assert out.nodes_explored / out.expansions > 2 * CHUNK
+
+
+def test_stack_pins_no_large_arrays():
+    # the stack holds rows of the children arrays of earlier expansions; an
+    # array may outlive the rows taken from it only while the stack still
+    # holds at least half of its bytes
+    dfs = _DFS(ConstraintSet(power=beta("4"), forbidden_factors=CORE_FORBIDDEN), 90, 10**9)
+    widest = 0
+
+    def on_level(letters):
+        nonlocal widest
+        owners, held = {}, 0
+        for seg in dfs.stack:
+            rows = seg.rows
+            for a in (rows.back, rows.eq, rows.ne, rows.state, rows.suffix, rows.tags, rows.ntags, rows.next):
+                if a is not None:
+                    owner = a if a.base is None else a.base
+                    owners[id(owner)] = owner.nbytes
+                    held += (a[seg.start : seg.stop, : seg.d] if a.ndim == 2 and a is not rows.tags
+                             else a[seg.start : seg.stop]).nbytes
+        assert sum(owners.values()) <= 2 * held
+        widest = max(widest, sum(seg.stop - seg.start for seg in dfs.stack))
+
+    assert dfs.run(on_level)
+    assert widest > 2 * CHUNK
+
+
+def test_checkpoint_of_segment_stack(tmp_path):
+    # a segment of more than CHUNK rows is stored as chunks of at most CHUNK
+    # rows, its first rows last, so that each length's rows increase from
+    # the top of the stored stack down, as they do on the stack
+    path = str(tmp_path / "state.json")
+    full = longest_word(GOOD, max_depth=20)
+    for budget in range(full.nodes_explored // 8, full.nodes_explored, full.nodes_explored // 8):
+        dfs = _DFS(GOOD, 20, budget)
+        assert not dfs.run()
+        if max(seg.stop - seg.start for seg in dfs.stack) > CHUNK:
+            break
+    else:
+        pytest.fail("no budget leaves a segment of more than CHUNK rows")
+    dfs.save_checkpoint(path)
+    with open(path) as fh:
+        state = json.load(fh)
+    assert state["magic"] == "antisquares-dfs-checkpoint-v3" and state["nodes"] == budget
+    texts = [[t for t, _ in chunk] for chunk in state["stack"]]
+    assert all(1 <= len(chunk) <= CHUNK and chunk == sorted(set(chunk)) for chunk in texts)
+    for i, lower in enumerate(texts):
+        for upper in texts[i + 1 :]:
+            assert len(upper[0]) != len(lower[0]) or upper[-1] < lower[0]
+    resumed = longest_word(GOOD, max_depth=20, resume_from=path)
+    assert (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted) == (
+        full.max_length, full.witness, full.nodes_explored, True)
