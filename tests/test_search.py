@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -538,3 +539,142 @@ def test_checkpoint_of_segment_stack(tmp_path):
     resumed = longest_word(GOOD, max_depth=20, resume_from=path)
     assert (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted) == (
         full.max_length, full.witness, full.nodes_explored, True)
+
+
+FUZZ_NODES = 600  # largest tree the fuzz oracles walk, in nodes
+
+
+def fuzz_constraints(rng: random.Random) -> tuple[ConstraintSet, int]:
+    """One seeded constraint set of the differential fuzz, with a max_depth."""
+    base = rng.choice((2, 3))
+    q = rng.randint(1, 5)
+    power = PowerBound(Fraction(rng.randint(2 * q, 4 * q), q), forbid_equal=rng.random() < 0.5)
+    order = count = None
+    if base == 2:
+        cap = rng.randrange(3)
+        if cap == 1:
+            order = rng.randint(2, 6)
+        elif cap == 2:
+            count = rng.randint(1, 10)
+    forbidden = frozenset(
+        "".join(rng.choice("012"[:base]) for _ in range(rng.randint(1, 5))) for _ in range(rng.randint(0, 3))
+    )
+    c = ConstraintSet(power=power, max_antisquare_order=order, max_distinct_antisquares=count,
+                      forbidden_factors=forbidden, alphabet_size=base)
+    return c, rng.randint(1, 14)
+
+
+def oracle_levels(c: ConstraintSet, max_depth: int) -> tuple[list[list[str]], int]:
+    """The valid words of each length 0..n that the walk explores (those
+    starting with 0 under the complement symmetry), in lexicographic order,
+    and the node count of the tree to depth n, for the largest n <=
+    max_depth at which the tree has at most FUZZ_NODES nodes.  The reference
+    engine walks binary trees, and check_word takes every child of the words
+    of each length of ternary ones."""
+    if c.alphabet_size == 3:
+        levels, nodes = [[""]], 0
+        while len(levels) <= max_depth and nodes + 3 * len(levels[-1]) <= FUZZ_NODES:
+            nodes += 3 * len(levels[-1])
+            levels.append([t + a for t in levels[-1] for a in "012" if brute_ok(c, t + a)])
+        return levels, nodes
+    while True:
+        dfs = search_reference._DFS(c, max_depth, FUZZ_NODES)
+        levels = [[""]] + [[] for _ in range(max_depth)]
+
+        def on_word(depth):
+            levels[depth].append(dfs.checker.word().text)
+
+        if dfs.run(on_word):
+            return levels, dfs.nodes
+        max_depth -= 1
+
+
+def chunk_walk(c: ConstraintSet, valid: set[str], target: int, cut: Optional[int] = None) -> tuple[int, int, str]:
+    """Node count and witness of a search for a word of the target length
+    that expands the first CHUNK rows of the top stack entry at a time and
+    pushes their valid children as one entry, and the node count at which
+    the expansion that reaches the target starts.  With cut, the search
+    stops after that many nodes and is resumed: the rows of the cut
+    expansion with untried children go back as one entry, below the
+    children of the rows it tried."""
+    stack, nodes = [[("", 0)]], 0
+    while True:
+        rows, start = stack.pop(), nodes
+        if len(rows) > CHUNK:
+            stack.append(rows[CHUNK:])
+        children, rest = [], []
+        for t, first in rows[:CHUNK]:
+            letters = "012"[: c.alphabet_size if t or not c.complement_closed else 1]
+            for i in range(first, len(letters)):
+                if nodes == cut:
+                    rest.append((t, i))
+                    break
+                nodes += 1
+                if t + letters[i] in valid:
+                    children.append((t + letters[i], 0))
+        if rest:
+            stack.append(rest)
+            cut = None
+        if children and len(children[0][0]) >= target:
+            return start, nodes, children[0][0]
+        if children:
+            stack.append(children)
+
+
+def test_engine_matches_oracles_on_random_constraints(tmp_path):
+    # seeded constraint sets: counts, longest word, extendable cores and
+    # target searches against the oracles above, and every search
+    # interrupted at two budgets, checkpointed and resumed
+    rng = random.Random(11)
+    path = str(tmp_path / "state.json")
+    for _ in range(200):
+        c, max_depth = fuzz_constraints(rng)
+        levels, nodes = oracle_levels(c, max_depth)
+        max_depth = len(levels) - 1
+        factor = 2 if c.complement_closed else 1
+        label = f"{c.describe()}@{max_depth}"
+
+        counted = count_by_length(c, max_depth, budget=10**9)
+        assert counted.complete and counted.nodes_explored == nodes, label
+        assert counted.counts == [1] + [factor * len(level) for level in levels[1:]], label
+        longest = max(n for n, level in enumerate(levels) if level)
+        full = longest_word(c, max_depth=max_depth)
+        assert (full.exhausted, full.max_length, full.witness.text, full.nodes_explored) == (
+            True, longest, levels[longest][0], nodes), label
+        if max_depth >= 3:
+            pad = rng.randint(1, (max_depth - 1) // 2)
+            core = max_depth - 2 * pad
+            want = {t[pad : pad + core] for t in levels[max_depth]}
+            if c.complement_closed:
+                want |= {complement_text(t) for t in want}
+            assert {w.text for w in extendable_cores(c, core, pad)} == want, label
+        # closed: run to the first budget, resume to the second and then to
+        # the end
+        resume = None
+        for budget in sorted(rng.sample(range(1, nodes), min(2, nodes - 1))):
+            out = longest_word(c, budget=budget, max_depth=max_depth, checkpoint_path=path, resume_from=resume)
+            assert not out.exhausted and out.nodes_explored == budget, (label, budget)
+            resume = path
+        if resume:
+            out = longest_word(c, max_depth=max_depth, resume_from=path)
+            assert (out.exhausted, out.max_length, out.witness, out.nodes_explored) == (
+                True, full.max_length, full.witness, nodes), label
+        if not longest:
+            continue
+        target = rng.randint((longest + 1) // 2, longest)
+        valid = {t for level in levels for t in level}
+        last, walked, witness = chunk_walk(c, valid, target)
+        out = longest_word(c, max_depth=max_depth, target=target)
+        assert (out.exhausted, out.max_length, out.witness.text, out.nodes_explored) == (
+            True, target, witness, walked), label
+        assert witness == levels[target][0], label
+        # target: cut before the expansion that reaches the target, and
+        # resumed; a cut inside an expansion pushes the children of the rows
+        # it tried apart from the rows left, so the resumed walk groups its
+        # rows unlike the uninterrupted one, as chunk_walk does
+        for budget in rng.sample(range(1, last + 1), min(2, last)):
+            out = longest_word(c, budget=budget, max_depth=max_depth, target=target, checkpoint_path=path)
+            assert not out.exhausted and out.nodes_explored == budget, (label, target, budget)
+            out = longest_word(c, max_depth=max_depth, target=target, resume_from=path)
+            assert (out.exhausted, out.max_length, out.witness.text, out.nodes_explored) == (
+                True, target, witness, chunk_walk(c, valid, target, budget)[1]), (label, target, budget)
