@@ -124,13 +124,12 @@ def squarefree_ternary_words(length: int) -> Iterator[Word]:
     dfs = _DFS(_SQUAREFREE, length, 0)
     found: list[Word] = []
 
-    def on_level(letters: np.ndarray) -> None:
-        if letters.shape[1] == length:
-            found.extend(Word(text, 3) for text in _texts(letters))
+    def on_leaf(letters: np.ndarray) -> None:
+        found.extend(Word(text, 3) for text in _texts(letters))
 
-    while dfs.stack:  # run() leaves chunks on the stack when its budget ends
+    while dfs.stack:  # run() leaves blocks on the stack when its budget ends
         dfs.budget += _SLICE
-        dfs.run(on_level)
+        dfs.run(on_leaf)
         yield from found
         found.clear()
 

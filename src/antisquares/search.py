@@ -47,8 +47,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,6 +72,7 @@ CHUNK = 64
 MERGE_ROWS = 512
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
+_NO_LETTER = 255  # the letters of a row past its prefix's length, equal to no letter
 
 
 class BudgetExceeded(Exception):
@@ -185,52 +185,41 @@ def check_word(c: ConstraintSet, w: Word) -> tuple[bool, Optional[Violation]]:
 
 
 class _Rows:
-    """Prefixes of one length d, one per row, with their frontier state.
+    """Prefixes, one per row, with their frontier state.
 
-    back (R, d) holds the letters newest first, so that column p-1 of it and
-    of eq and ne is about the letter p back from the frontier.  eq and ne
-    hold the equality and inequality runs at distances 1..min(d, width); the
-    engine's width leaves out the distances at which no word up to max_depth
-    can break a bound.  While d <= width the last column, distance d, is 0:
-    no two letters of the prefix are that far apart.  state (R,) holds
-    automaton states; suffix (R,) the last letters as an integer, newest in
-    bit 0; tags (R, W) distinct-antisquare ids, the first ntags (R,) of them
-    in use; next (R,) the least letter not yet tried below each prefix.  A
+    back (R, W) holds the letters newest first, so that column p-1 of it and
+    of eq and ne is about the letter p back from the frontier; depth (R,)
+    is the length of each prefix, at most W.  eq and ne hold the equality
+    and inequality runs at distances 1..min(W, width); the engine's width
+    leaves out the distances at which no word up to max_depth can break a
+    bound.  At distance depth the runs are 0 (no two letters of the prefix
+    are that far apart) and past it -1, which reaches no bound (an edge can
+    be 0) and grows into the 0 that starts a child's new distance; no check
+    reads the letters past a prefix's length.  state (R,) holds automaton
+    states; suffix (R,) the last letters as an integer, newest in bit 0;
+    tags (R, T) distinct-antisquare ids, the first ntags (R,) of them in
+    use; next (R,) the least letter not yet tried below each prefix.  A
     field whose constraint is absent is None.
     """
 
-    __slots__ = ("back", "eq", "ne", "state", "suffix", "tags", "ntags", "next")
+    __slots__ = ("back", "eq", "ne", "state", "suffix", "tags", "ntags", "next", "depth")
 
-    def __init__(self, back, eq, ne, state, suffix, tags, ntags, next_letter):
+    def __init__(self, back, eq, ne, state, suffix, tags, ntags, next_letter, depth):
         self.back, self.eq, self.ne, self.state = back, eq, ne, state
-        self.suffix, self.tags, self.ntags, self.next = suffix, tags, ntags, next_letter
+        self.suffix, self.tags, self.ntags, self.next, self.depth = suffix, tags, ntags, next_letter, depth
 
     def __len__(self) -> int:
         return len(self.back)
 
-    def take(self, index, d: Optional[int] = None) -> _Rows:
-        """The rows at index (views if it is a slice); with d, as prefixes of
-        length d: the letters and runs past distance d are dropped."""
-        cols = slice(d)
+    def take(self, index, width: Optional[int] = None) -> _Rows:
+        """The rows at index (views if it is a slice); with width, the
+        letters and runs past that distance are dropped."""
+        cols = slice(width)
         return _Rows(
             *[None if a is None else a[index, cols] for a in (self.back, self.eq, self.ne)],
-            *[None if a is None else a[index] for a in (self.state, self.suffix, self.tags, self.ntags, self.next)],
+            *[None if a is None else a[index] for a in (self.state, self.suffix, self.tags, self.ntags, self.next,
+                                                         self.depth)],
         )
-
-
-class _Segment(NamedTuple):
-    """An entry of the stack: rows start:stop of rows, as prefixes of length
-    d.  The children of one expansion go on the stack as one segment per
-    length, all of them rows of one array."""
-
-    rows: _Rows
-    start: int
-    stop: int
-    d: int
-
-    def letters(self) -> np.ndarray:
-        """The prefixes, first letter first (a view)."""
-        return self.rows.back[self.start : self.stop, : self.d][:, ::-1]
 
 
 def _texts(letters: np.ndarray) -> list[str]:
@@ -240,27 +229,18 @@ def _texts(letters: np.ndarray) -> list[str]:
     return [flat[i : i + d] for i in range(0, len(flat), d)] if d else [""] * len(letters)
 
 
-def _merge(groups: list[_Segment]) -> _Rows:
-    """The rows of several segments as one, the deepest segment first, as a
-    view where they are consecutive rows of one array.  Shorter prefixes are
-    padded with runs of -1, which reach no bound (an edge can be 0) and grow
-    into the 0 that starts a child's new distance; no check reads their
-    letters past their length."""
-    runs: list[list] = []  # [rows, start, stop, d] of consecutive rows of one array
-    for rows, start, stop, d in groups:
-        if runs and rows is runs[-1][0] and start == runs[-1][2]:
-            runs[-1][2] = stop
-        else:
-            runs.append([rows, start, stop, d])
-    parts = [rows.take(slice(start, stop), d) for rows, start, stop, d in runs]
+def _merge(parts: list[_Rows]) -> _Rows:
+    """The rows of several blocks as one, the first block's rows first (the
+    first part itself if it is alone).  Rows narrower than the first are
+    widened with _NO_LETTER and runs of 0."""
     if len(parts) == 1:
         return parts[0]
     first, size = parts[0], sum(map(len, parts))
     merged = _Rows(
-        np.empty((size, first.back.shape[1]), np.uint8),
-        *[None if a is None else np.full((size, a.shape[1]), -1, a.dtype) for a in (first.eq, first.ne)],
+        np.full((size, first.back.shape[1]), _NO_LETTER, np.uint8),
+        *[None if a is None else np.zeros((size, a.shape[1]), a.dtype) for a in (first.eq, first.ne)],
         *[None if getattr(first, name) is None else np.concatenate([getattr(p, name) for p in parts])
-          for name in ("state", "suffix", "tags", "ntags", "next")],
+          for name in ("state", "suffix", "tags", "ntags", "next", "depth")],
     )
     at = 0
     for p in parts:
@@ -271,16 +251,31 @@ def _merge(groups: list[_Segment]) -> _Rows:
     return merged
 
 
+def _compact(block: _Rows) -> _Rows:
+    """The block, copied out of its array once its rows hold less than half
+    of the array's letters, so that the rows already taken from it do not
+    stay alive with them."""
+    owner = block.back if block.back.base is None else block.back.base
+    if 2 * int(block.depth.sum()) < owner.size:
+        return block.take(np.arange(len(block)), int(block.depth[0]))
+    return block
+
+
 class _DFS:
-    """Depth-first walk over segments of same-length prefixes."""
+    """Depth-first walk over a stack of blocks of prefixes."""
 
     def __init__(self, c: ConstraintSet, max_depth: int, budget: int):
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
         self.c = c
         self.base = c.alphabet_size  # children per row
         self.max_depth = max_depth
         self.budget = budget
         self.nodes = 0
         self.expansions = 0
+        # valid words of each length reached by this call; like expansions,
+        # not carried over by a checkpoint
+        self.counts = np.zeros(max_depth + 1, np.int64)
         self.first_letter_limit = 1 if c.complement_closed else self.base
         # longest valid word reached so far; a checkpoint carries it, since a
         # resumed run never revisits it
@@ -322,12 +317,13 @@ class _DFS:
             np.zeros((1, c.max_distinct_antisquares), np.int64) if counted else None,
             np.zeros(1, np.int64) if counted else None,
             np.zeros(1, np.uint8),
+            np.zeros(1, dtype),
         )
-        self.stack: list[_Segment] = [_Segment(self.root, 0, 1, 0)] if max_depth > 0 else []
+        self.stack: list[_Rows] = [self.root] if max_depth > 0 else []
 
-    def _step(self, rows: _Rows, tried: np.ndarray) -> tuple[_Rows, np.ndarray]:
-        """The valid children among the tried ones, in lexicographic order,
-        and the row of each one's parent; child base*i + a appends letter a
+    def _step(self, rows: _Rows, tried: np.ndarray) -> _Rows:
+        """The valid children among the tried ones, in the order of their
+        parents and then of their letters; child base*i + a appends letter a
         to row i.
 
         The checks read the parent's runs: a child reaches a bound at
@@ -344,7 +340,8 @@ class _DFS:
         if rows.eq is not None:
             reach = self.power_reach[d + 1]
             r, p = np.divmod((rows.eq[:, :reach] >= self.eq_edge[:reach]).ravel().nonzero()[0], reach)
-            good[base * r + back[r, p]] = False  # the child equal to the letter p+1 back
+            a = back[r, p]  # the child equal to the letter p+1 back, if the prefix has one
+            good[base * r[a < base] + a[a < base]] = False
         if rows.state is not None:
             state = self.transitions[rows.state].reshape(n)
             good &= state >= 0
@@ -365,9 +362,9 @@ class _DFS:
         grown = np.empty((S, d + 1), np.uint8)
         grown[:, 0] = letter
         back.take(parent, 0, grown[:, 1:], "clip")
-        match = grown[:, 1 : 1 + self.match_width] == letter[:, None]
-        eq = None if rows.eq is None else self._grow(rows.eq, parent, match, self.eq_width)
-        ne = None if rows.ne is None else self._grow(rows.ne, parent, np.logical_not(match, out=match), self.ne_width)
+        before = grown[:, 1 : 1 + self.match_width]  # the letters p back, past the prefix _NO_LETTER
+        eq = None if rows.eq is None else self._grow(rows.eq, parent, before == letter[:, None], self.eq_width)
+        ne = None if rows.ne is None else self._grow(rows.ne, parent, before == (letter ^ 1)[:, None], self.ne_width)
         suffix = tags = ntags = None
         if state is not None:
             state = state[alive]
@@ -383,7 +380,7 @@ class _DFS:
                 row = alive.searchsorted(child)
                 rank = np.arange(len(child)) - child.searchsorted(child)
                 tags[row, rows.ntags[child >> 1] + rank] = ids
-        return _Rows(grown, eq, ne, state, suffix, tags, ntags, np.zeros(S, np.uint8)), parent
+        return _Rows(grown, eq, ne, state, suffix, tags, ntags, np.zeros(S, np.uint8), rows.depth[parent] + 1)
 
     @staticmethod
     def _grow(runs: np.ndarray, parent: np.ndarray, extend: np.ndarray, width: int) -> np.ndarray:
@@ -417,48 +414,54 @@ class _DFS:
         count = rows.ntags.repeat(2) + np.bincount(child, minlength=2 * len(rows))
         return count, child, ids
 
-    def run(self, on_level: Optional[Callable[[np.ndarray], None]] = None, target: Optional[int] = None,
+    def run(self, on_leaf: Optional[Callable[[np.ndarray], None]] = None, target: Optional[int] = None,
             checkpoint_path: Optional[str] = None) -> bool:
         """Walk the rest of the tree, rows of each length in lexicographic order.
 
         An expansion of a closed search takes rows while all their children
-        fit in the budget.  on_level(letters) gets the valid children of the
-        rows of each segment it took, one word per row, all of one length and
-        in lexicographic order.  Returns True iff the tree was closed within
-        budget (or, with target set, a word of the target length was reached).
+        fit in the budget.  on_leaf(letters) gets the valid words of length
+        max_depth, one per row, in lexicographic order across calls.
+        Returns True iff the tree was closed within budget (or, with target
+        set, a word of the target length was reached).
         """
         saved = self.nodes
         while self.stack:
             if self.nodes >= self.budget:
                 return False
-            if self._expand(on_level, target):
+            if self._expand(on_leaf, target):
                 return True
             if checkpoint_path and self.nodes - saved >= CHECKPOINT_EVERY:
                 saved = self.nodes
                 self.save_checkpoint(checkpoint_path)
         return True
 
-    def _expand(self, on_level, target) -> bool:
+    def _take(self, target) -> _Rows:
+        """Pop the rows of the next expansion, as prefixes of the length of
+        the first one: the first CHUNK rows of the top block in a search for
+        a target length; in a closed search up to MERGE_ROWS rows of the top
+        block and then of the blocks below it, the ones the walk would
+        expand next (module docstring), while all their children fit in the
+        budget, but never the root, whose first letter may be limited."""
+        stack = self.stack
+        cap = CHUNK if target is not None else MERGE_ROWS
+        room = (self.budget - self.nodes) // self.base
+        d = int(stack[-1].depth[0])
+        parts, size = [], 0
+        while stack and size < cap and (not parts or target is None and size < room and stack[-1].depth[0]):
+            block = stack.pop()
+            k = min(len(block), (min(cap, room) if parts else cap) - size)
+            if k < len(block):
+                stack.append(_compact(block.take(slice(k, None))))
+            parts.append(block.take(slice(k), d))
+            size += k
+        return _merge(parts)
+
+    def _expand(self, on_leaf, target) -> bool:
         """One expansion of run(); True iff a child reached the target length.
         The arrays of the step go when it returns, before the next one."""
-        stack, base, room = self.stack, self.base, self.budget - self.nodes
-        cap, groups, size = CHUNK if target is not None else MERGE_ROWS, [], 0
-        # the first rows of the top segment; in a closed search also those of
-        # the segments below, the ones the walk would expand next (module
-        # docstring), while all their children fit in the budget, but never
-        # the root, whose first letter may be limited
-        while stack and size < cap and (not groups or target is None and stack[-1].d and base * (size + 1) <= room):
-            rows, start, stop, d = stack.pop()
-            k = min(stop - start, (min(cap, room // base) if groups else cap) - size)
-            if k < stop - start:
-                stack.append(_Segment(rows, start + k, stop, d))
-            groups.append(_Segment(rows, start, start + k, d))
-            size += k
-        self._compact()
-        rows, d = _merge(groups), groups[0].d
-        # the size and child length of each group; the segments go, so that
-        # the step keeps no array alive that it does not read
-        groups = [(g.stop - g.start, g.d + 1) for g in groups]
+        base, room = self.base, self.budget - self.nodes
+        rows = self._take(target)
+        size, d = rows.back.shape
         if d and not np.count_nonzero(rows.next):
             tried, count = np.ones(base * size, bool), base * size
         else:
@@ -466,63 +469,54 @@ class _DFS:
             tried = (letter >= rows.next.repeat(base)) & (letter < (self.first_letter_limit if d == 0 else base))
             count = int(np.count_nonzero(tried))
         if count > room:
-            # the budget ends inside the first group, which is then alone:
-            # keep the rows with untried children, each with the first letter
-            # not tried
+            # the budget ends inside the rows of the top block: keep the rows
+            # with untried children, each with the first letter not tried
             untried = np.flatnonzero(tried)[room:]
             tried[untried] = False
             first = untried[np.flatnonzero(np.diff(untried // base, prepend=-1))]
             rest = rows.take(first // base)
             rest.next = (first % base).astype(np.uint8)
-            stack.append(_Segment(rest, 0, len(rest), d))
+            self.stack.append(rest)
             count = room
         self.nodes += count
         self.expansions += 1
-        children, parent = self._step(rows, tried)
-        # the children of each group, as one segment of its length
-        ends = [len(children)] if len(groups) == 1 else parent.searchsorted(
-            list(accumulate(n for n, _ in groups))).tolist()
-        start, segments = 0, []
-        for (_, depth), end in zip(groups, ends):
-            if end > start:
-                kids = _Segment(children, start, end, depth)
-                for a in (children.eq, children.ne) if depth <= d else ():
-                    if a is not None:
-                        a[start:end, depth:] = -1  # pads past the length, as _merge has them
-                if on_level is not None:
-                    on_level(kids.letters())
-                if depth > len(self.best_text):
-                    self.best_text = _texts(kids.letters()[:1])[0]
-                if target is not None and depth >= target:
-                    return True
-                if depth < self.max_depth:
-                    segments.append(kids)
-            start = end
-        stack += reversed(segments)  # lowest on top
+        children = self._step(rows, tried)
+        if not len(children):
+            return False
+        depth = children.depth
+        self.counts += np.bincount(depth, minlength=len(self.counts))
+        # the rows are sorted deepest first: those of length d + 1 come first
+        top = int(np.count_nonzero(depth > d))
+        deepest = int(depth[0])
+        if deepest > len(self.best_text):
+            self.best_text = _texts(children.back[:1, :deepest][:, ::-1])[0]
+        if target is not None and deepest >= target:
+            return True
+        if deepest == self.max_depth:
+            if on_leaf is not None:
+                on_leaf(children.back[:top, :deepest][:, ::-1])
+            if top == len(children):
+                return False
+            children = _compact(children.take(slice(top, None)))
+        self.stack.append(children)
         return False
-
-    def _compact(self) -> None:
-        """Copy out the segments on top of the stack that are rows of one
-        array once they hold less than half of its letters, so that the rows
-        already taken from it do not stay alive with them."""
-        stack = self.stack
-        i = len(stack)
-        while i and stack[i - 1].rows is stack[-1].rows:
-            i -= 1
-        top = stack[i:]
-        if top and 2 * sum((g.stop - g.start) * g.d for g in top) < top[0].rows.back.size:
-            stack[i:] = [_Segment(rows.take(np.arange(start, stop), d), 0, stop - start, d)
-                         for rows, start, stop, d in top]
 
     def save_checkpoint(self, path: str) -> None:
         """Write the search state atomically: a temporary file is made
         durable and then renamed over path.  The stack is stored bottom first
-        as chunks of at most CHUNK [prefix, next letter] rows, each segment
-        cut into chunks from its last rows up, so its first rows stay on top."""
+        as chunks of at most CHUNK [prefix, next letter] rows of one length:
+        each block from its last rows up, cut into its runs of one length and
+        each run into chunks from its last rows up, so its first rows stay on
+        top."""
         chunks = []
-        for seg in self.stack:
-            rows = [[t, a] for t, a in zip(_texts(seg.letters()), seg.rows.next[seg.start : seg.stop].tolist())]
-            chunks += [rows[i : i + CHUNK] for i in reversed(range(0, len(rows), CHUNK))]
+        for block in self.stack:
+            depth = block.depth.tolist()
+            runs = [0, *np.flatnonzero(np.diff(block.depth)) + 1, len(block)]
+            for start, stop in reversed(list(zip(runs, runs[1:]))):
+                d = depth[start]
+                rows = [[t, a] for t, a in zip(_texts(block.back[start:stop, :d][:, ::-1]),
+                                               block.next[start:stop].tolist())]
+                chunks += [rows[i : i + CHUNK] for i in reversed(range(0, len(rows), CHUNK))]
         state = {
             "magic": CHECKPOINT_MAGIC,
             "constraints": self.c.describe(),
@@ -581,7 +575,7 @@ class _DFS:
         for chunk in stack:
             rows = groups[len(chunk[0][0])].take(position[i : i + len(chunk)])
             rows.next = np.array([a for _, a in chunk], np.uint8)
-            self.stack.append(_Segment(rows, 0, len(rows), len(chunk[0][0])))
+            self.stack.append(rows)
             i += len(chunk)
         self.nodes = nodes
         self.best_text = best
@@ -609,7 +603,7 @@ class _DFS:
                 break
             tried = np.zeros(self.base * live, bool)
             tried[self.base * np.arange(live) + letters[:live, d]] = True
-            rows = self._step(rows.take(slice(0, live)), tried)[0]
+            rows = self._step(rows.take(slice(0, live)), tried)
             if len(rows) < live:
                 raise ValueError("corrupt checkpoint: a stored prefix breaks the constraints")
         return groups, position
@@ -659,16 +653,9 @@ def count_by_length(
     """
     start = time.monotonic()
     dfs = _DFS(c, n_max, budget)
-    counts = [0] * (n_max + 1)
+    complete = dfs.run()
+    counts = (dfs.counts * (2 if c.complement_closed else 1)).tolist()
     counts[0] = 1  # empty word satisfies every factorial constraint
-
-    def on_level(letters: np.ndarray) -> None:
-        counts[letters.shape[1]] += len(letters)
-
-    complete = dfs.run(on_level)
-    if c.complement_closed:
-        for i in range(1, n_max + 1):
-            counts[i] *= 2
     return CountOutcome(counts, complete, dfs.nodes, dfs.expansions, time.monotonic() - start)
 
 
@@ -688,11 +675,10 @@ def extendable_cores(
     dfs = _DFS(c, total, budget)
     cores: set[str] = set()
 
-    def on_level(letters: np.ndarray) -> None:
-        if letters.shape[1] == total:
-            cores.update(_texts(letters[:, pad_len : pad_len + core_len]))
+    def on_leaf(letters: np.ndarray) -> None:
+        cores.update(_texts(letters[:, pad_len : pad_len + core_len]))
 
-    complete = dfs.run(on_level)
+    complete = dfs.run(on_leaf)
     if not complete:
         raise BudgetExceeded("extendable_cores ran out of node budget; result would be unsound")
     out = {Word(t, c.alphabet_size) for t in cores}

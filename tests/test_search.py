@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,27 +242,29 @@ def test_merged_expansions_fill_chunks():
     assert out.nodes_explored / out.expansions >= 64  # >= 32 rows per expansion
 
 
-def test_on_level_gets_one_length_per_call():
-    # expansions that merge chunks of several lengths still hand on_level
-    # the words of one length at a time, in order; together they are every
-    # valid word starting with 0 (GOOD is complement-closed)
+def test_on_leaf_gets_the_longest_words_in_order():
+    # on_leaf gets every valid word of length max_depth, in lexicographic
+    # order across calls, and counts holds the valid words of each length;
+    # some expansions take rows of several lengths.  GOOD is
+    # complement-closed, so the walk reaches the words starting with 0
     max_depth = 18
     dfs = _DFS(GOOD, max_depth, 10**9)
-    words: dict[int, list[str]] = {}
-    lengths_by_expansion: dict[int, set[int]] = {}
+    leaves, lengths = [], []
+    step = dfs._step
 
-    def on_level(letters):
-        texts = ["".join(map(str, row)) for row in letters.tolist()]
-        assert texts == sorted(set(texts)) and len({len(t) for t in texts}) == 1
-        words.setdefault(len(texts[0]), []).extend(texts)
-        lengths_by_expansion.setdefault(dfs.expansions, set()).add(len(texts[0]))
+    def spy(rows, tried):
+        lengths.append(set(rows.depth.tolist()))
+        return step(rows, tried)
 
-    assert dfs.run(on_level)
-    assert any(len(lengths) > 1 for lengths in lengths_by_expansion.values())
+    dfs._step = spy
+    assert dfs.run(lambda letters: leaves.extend("".join(map(str, row)) for row in letters.tolist()))
+    assert any(len(depths) > 1 for depths in lengths)
     level = ["0"]
     for n in range(1, max_depth + 1):
-        assert sorted(words.get(n, [])) == level, n
-        level = sorted(t + a for t in level for a in "01" if brute_ok(GOOD, t + a))
+        assert dfs.counts[n] == len(level), n
+        if n < max_depth:
+            level = sorted(t + a for t in level for a in "01" if brute_ok(GOOD, t + a))
+    assert leaves == level
 
 
 def test_interrupted_search_stops_at_budget_and_resumes(tmp_path):
@@ -492,41 +495,41 @@ def test_closed_expansions_span_chunks(c, max_depth):
 def test_stack_pins_no_large_arrays():
     # the stack holds rows of the children arrays of earlier expansions; an
     # array may outlive the rows taken from it only while the stack still
-    # holds at least half of its bytes
+    # holds at least half of its bytes, counting each row up to its length
     dfs = _DFS(ConstraintSet(power=beta("4"), forbidden_factors=CORE_FORBIDDEN), 90, 10**9)
     widest = 0
-
-    def on_level(letters):
-        nonlocal widest
+    while dfs.stack:
+        dfs._expand(None, None)
         owners, held = {}, 0
-        for seg in dfs.stack:
-            rows = seg.rows
-            for a in (rows.back, rows.eq, rows.ne, rows.state, rows.suffix, rows.tags, rows.ntags, rows.next):
+        for block in dfs.stack:
+            for a in (block.back, block.eq, block.ne, block.state, block.suffix, block.tags, block.ntags, block.next,
+                      block.depth):
                 if a is not None:
                     owner = a if a.base is None else a.base
                     owners[id(owner)] = owner.nbytes
-                    held += (a[seg.start : seg.stop, : seg.d] if a.ndim == 2 and a is not rows.tags
-                             else a[seg.start : seg.stop]).nbytes
+                    if a.ndim == 2 and a is not block.tags:
+                        held += int(np.minimum(block.depth, a.shape[1]).sum()) * a.itemsize
+                    else:
+                        held += a.nbytes
         assert sum(owners.values()) <= 2 * held
-        widest = max(widest, sum(seg.stop - seg.start for seg in dfs.stack))
-
-    assert dfs.run(on_level)
+        widest = max(widest, sum(map(len, dfs.stack)))
     assert widest > 2 * CHUNK
 
 
-def test_checkpoint_of_segment_stack(tmp_path):
-    # a segment of more than CHUNK rows is stored as chunks of at most CHUNK
-    # rows, its first rows last, so that each length's rows increase from
-    # the top of the stored stack down, as they do on the stack
+def test_checkpoint_of_block_stack(tmp_path):
+    # a block's run of more than CHUNK rows of one length is stored as
+    # chunks of at most CHUNK rows, its first rows last, so that each
+    # length's rows increase from the top of the stored stack down, as they
+    # do on the stack
     path = str(tmp_path / "state.json")
     full = longest_word(GOOD, max_depth=20)
     for budget in range(full.nodes_explored // 8, full.nodes_explored, full.nodes_explored // 8):
         dfs = _DFS(GOOD, 20, budget)
         assert not dfs.run()
-        if max(seg.stop - seg.start for seg in dfs.stack) > CHUNK:
+        if max(np.unique(block.depth, return_counts=True)[1].max() for block in dfs.stack) > CHUNK:
             break
     else:
-        pytest.fail("no budget leaves a segment of more than CHUNK rows")
+        pytest.fail("no budget leaves a block with more than CHUNK rows of one length")
     dfs.save_checkpoint(path)
     with open(path) as fh:
         state = json.load(fh)
