@@ -438,18 +438,23 @@ class _DFS:
     def _take(self, target) -> _Rows:
         """Pop the rows of the next expansion, as prefixes of the length of
         the first one: the first CHUNK rows of the top block in a search for
-        a target length; in a closed search up to MERGE_ROWS rows of the top
-        block and then of the blocks below it, the ones the walk would
-        expand next (module docstring), while all their children fit in the
-        budget, but never the root, whose first letter may be limited."""
+        a target length; in a closed search up to MERGE_ROWS rows, from the
+        top block and then the blocks below it, the ones the walk would
+        expand next (module docstring), but never the root, whose first
+        letter may be limited.  A closed search takes the rows of the first
+        length whatever the budget, and more only while all their children
+        fit in it."""
         stack = self.stack
-        cap = CHUNK if target is not None else MERGE_ROWS
-        room = (self.budget - self.nodes) // self.base
         d = int(stack[-1].depth[0])
+        if target is not None:
+            limit = CHUNK
+        else:
+            first = int(np.count_nonzero(stack[-1].depth == d))
+            limit = min(MERGE_ROWS, max(first, (self.budget - self.nodes) // self.base))
         parts, size = [], 0
-        while stack and size < cap and (not parts or target is None and size < room and stack[-1].depth[0]):
+        while stack and size < limit and (not parts or target is None and stack[-1].depth[0]):
             block = stack.pop()
-            k = min(len(block), (min(cap, room) if parts else cap) - size)
+            k = min(len(block), limit - size)
             if k < len(block):
                 stack.append(_compact(block.take(slice(k, None))))
             parts.append(block.take(slice(k), d))
@@ -469,8 +474,8 @@ class _DFS:
             tried = (letter >= rows.next.repeat(base)) & (letter < (self.first_letter_limit if d == 0 else base))
             count = int(np.count_nonzero(tried))
         if count > room:
-            # the budget ends inside the rows of the top block: keep the rows
-            # with untried children, each with the first letter not tried
+            # the budget ends inside the rows of the first length: keep the
+            # rows with untried children, each with the first letter not tried
             untried = np.flatnonzero(tried)[room:]
             tried[untried] = False
             first = untried[np.flatnonzero(np.diff(untried // base, prepend=-1))]

@@ -2,7 +2,7 @@ import json
 import os
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import Optional
 
 import numpy as np
@@ -14,6 +14,7 @@ import search_reference
 from antisquares.repetitions import PowerBound
 from antisquares.search import (
     CHUNK,
+    MERGE_ROWS,
     BudgetExceeded,
     ConstraintSet,
     _DFS,
@@ -592,24 +593,51 @@ def oracle_levels(c: ConstraintSet, max_depth: int) -> tuple[list[list[str]], in
         max_depth -= 1
 
 
-def chunk_walk(c: ConstraintSet, valid: set[str], target: int, cut: Optional[int] = None) -> tuple[int, int, str]:
-    """Node count and witness of a search for a word of the target length
-    that expands the first CHUNK rows of the top stack entry at a time and
-    pushes their valid children as one entry, and the node count at which
-    the expansion that reaches the target starts.  With cut, the search
-    stops after that many nodes and is resumed: the rows of the cut
-    expansion with untried children go back as one entry, below the
-    children of the rows it tried."""
-    stack, nodes = [[("", 0)]], 0
-    while True:
-        rows, start = stack.pop(), nodes
-        if len(rows) > CHUNK:
-            stack.append(rows[CHUNK:])
+def stored_stack(stack: list[list[tuple[str, int]]]) -> list[list[list]]:
+    """A stack of blocks of (prefix, next letter) rows, deepest first, as a
+    checkpoint stores it: bottom first, each block cut into its runs of one
+    length and each run into chunks of at most CHUNK rows, last ones first."""
+    chunks = []
+    for block in stack:
+        for run in reversed([list(run) for _, run in groupby(block, key=lambda row: len(row[0]))]):
+            chunks += [[list(row) for row in run[i : i + CHUNK]] for i in reversed(range(0, len(run), CHUNK))]
+    return chunks
+
+
+def model_walk(c: ConstraintSet, valid: set[str], max_depth: int, target: Optional[int] = None,
+               budget: Optional[int] = None, stack=None, nodes: int = 0, best: str = ""):
+    """The walk of the search engine over the given valid words, from the
+    root or from a stored stack: the node count, the longest word reached
+    and, if the budget ends the walk, the stack a checkpoint stores then.
+
+    A search for a target length expands the first CHUNK rows of the top
+    block at a time.  A closed search expands up to MERGE_ROWS rows, from
+    the top block and then the blocks below it but not the root: the rows
+    of the first length whatever the budget, and more only while all their
+    children fit in it.  The valid children go on the stack as one block.
+    Where the budget ends inside an expansion, the rows with untried
+    children go back as one block, below the children of the rows tried."""
+    stack = [[("", 0)]] if stack is None else [[tuple(row) for row in chunk] for chunk in stack]
+    base = c.alphabet_size
+    while stack:
+        if budget is not None and nodes >= budget:
+            return nodes, best, stored_stack(stack)
+        d = len(stack[-1][0][0])
+        room = MERGE_ROWS if budget is None else (budget - nodes) // base
+        first = sum(len(t) == d for t, _ in stack[-1])
+        limit = CHUNK if target is not None else min(MERGE_ROWS, max(first, room))
+        rows = []
+        while stack and len(rows) < limit and (not rows or target is None and stack[-1][0][0]):
+            block = stack.pop()
+            k = min(len(block), limit - len(rows))
+            if k < len(block):
+                stack.append(block[k:])
+            rows += block[:k]
         children, rest = [], []
-        for t, first in rows[:CHUNK]:
-            letters = "012"[: c.alphabet_size if t or not c.complement_closed else 1]
-            for i in range(first, len(letters)):
-                if nodes == cut:
+        for t, letter in rows:
+            letters = "012"[: base if t or not c.complement_closed else 1]
+            for i in range(letter, len(letters)):
+                if nodes == budget:
                     rest.append((t, i))
                     break
                 nodes += 1
@@ -617,11 +645,14 @@ def chunk_walk(c: ConstraintSet, valid: set[str], target: int, cut: Optional[int
                     children.append((t + letters[i], 0))
         if rest:
             stack.append(rest)
-            cut = None
-        if children and len(children[0][0]) >= target:
-            return start, nodes, children[0][0]
         if children:
-            stack.append(children)
+            best = max(best, children[0][0], key=len)
+            if target is not None and len(best) >= target:
+                return nodes, best, None
+            children = [row for row in children if len(row[0]) < max_depth]
+            if children:
+                stack.append(children)
+    return nodes, best, None
 
 
 def test_engine_matches_oracles_on_random_constraints(tmp_path):
@@ -651,33 +682,37 @@ def test_engine_matches_oracles_on_random_constraints(tmp_path):
             if c.complement_closed:
                 want |= {complement_text(t) for t in want}
             assert {w.text for w in extendable_cores(c, core, pad)} == want, label
-        # closed: run to the first budget, resume to the second and then to
-        # the end
-        resume = None
-        for budget in sorted(rng.sample(range(1, nodes), min(2, nodes - 1))):
-            out = longest_word(c, budget=budget, max_depth=max_depth, checkpoint_path=path, resume_from=resume)
-            assert not out.exhausted and out.nodes_explored == budget, (label, budget)
-            resume = path
-        if resume:
-            out = longest_word(c, max_depth=max_depth, resume_from=path)
-            assert (out.exhausted, out.max_length, out.witness, out.nodes_explored) == (
-                True, full.max_length, full.witness, nodes), label
-        if not longest:
-            continue
-        target = rng.randint((longest + 1) // 2, longest)
         valid = {t for level in levels for t in level}
-        last, walked, witness = chunk_walk(c, valid, target)
-        out = longest_word(c, max_depth=max_depth, target=target)
-        assert (out.exhausted, out.max_length, out.witness.text, out.nodes_explored) == (
-            True, target, witness, walked), label
-        assert witness == levels[target][0], label
-        # target: cut before the expansion that reaches the target, and
-        # resumed; a cut inside an expansion pushes the children of the rows
-        # it tried apart from the rows left, so the resumed walk groups its
-        # rows unlike the uninterrupted one, as chunk_walk does
-        for budget in rng.sample(range(1, last + 1), min(2, last)):
-            out = longest_word(c, budget=budget, max_depth=max_depth, target=target, checkpoint_path=path)
-            assert not out.exhausted and out.nodes_explored == budget, (label, target, budget)
-            out = longest_word(c, max_depth=max_depth, target=target, resume_from=path)
+        searches = [(None, nodes)]
+        if longest:
+            target = rng.randint((longest + 1) // 2, longest)
+            walked, witness, _ = model_walk(c, valid, max_depth, target)
+            out = longest_word(c, max_depth=max_depth, target=target)
             assert (out.exhausted, out.max_length, out.witness.text, out.nodes_explored) == (
-                True, target, witness, chunk_walk(c, valid, target, budget)[1]), (label, target, budget)
+                True, target, witness, walked), label
+            assert witness == levels[target][0], label
+            searches.append((target, walked))
+        # each search runs to a first budget, resumes to a second and then to
+        # its end; every checkpoint holds the stack of model_walk
+        for target, total in searches:
+            state, resume = {}, None
+            for budget in sorted(rng.sample(range(1, total), min(2, total - 1))):
+                out = longest_word(c, budget=budget, max_depth=max_depth, target=target, checkpoint_path=path,
+                                   resume_from=resume)
+                walked, best, stack = model_walk(c, valid, max_depth, target, budget, **state)
+                assert (out.exhausted, out.nodes_explored, out.witness.text) == (stack is None, walked, best), (
+                    label, target, budget)
+                if stack is None:  # the target is reached before the budget ends
+                    resume = None
+                    break
+                with open(path) as fh:
+                    saved = json.load(fh)
+                assert (saved["nodes"], saved["best_witness"], saved["stack"]) == (budget, best, stack), (
+                    label, target, budget)
+                state, resume = {"stack": stack, "nodes": budget, "best": best}, path
+            if resume:
+                out = longest_word(c, max_depth=max_depth, target=target, resume_from=path)
+                walked, best, _ = model_walk(c, valid, max_depth, target, **state)
+                assert (out.exhausted, out.nodes_explored, out.witness.text) == (True, walked, best), (label, target)
+                if target is None:
+                    assert (walked, best) == (nodes, levels[longest][0]), label
