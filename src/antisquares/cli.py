@@ -104,23 +104,30 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _budget(args, default: int) -> int:
+    """The --budget given, or default if none is; below 1 it is a usage
+    error."""
+    if args.budget is None:
+        return default
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
+    return args.budget
+
+
 def _longest_word(c: search.ConstraintSet, resume_from=None, **kwargs) -> search.SearchOutcome:
-    """search.longest_word, with a checkpoint that cannot be resumed
-    reported as a usage error."""
+    """search.longest_word, with a negative max_depth or a checkpoint that
+    cannot be resumed reported as a usage error."""
     try:
         return search.longest_word(c, resume_from=resume_from, **kwargs)
     except ValueError as exc:
-        if resume_from is None:
-            raise
-        raise UsageError(f"cannot resume from {resume_from}: {exc}") from exc
+        raise UsageError(f"cannot resume from {resume_from}: {exc}" if resume_from else str(exc)) from exc
 
 
 def cmd_search(args) -> int:
     c = _constraints(args)
-    budget = args.budget or search.DEFAULT_SEARCH_BUDGET
     outcome = _longest_word(
         c,
-        budget=budget,
+        budget=_budget(args, search.DEFAULT_SEARCH_BUDGET),
         max_depth=args.max_depth,
         target=args.target,
         checkpoint_path=args.checkpoint,
@@ -144,8 +151,10 @@ def cmd_search(args) -> int:
 
 def cmd_count(args) -> int:
     c = _constraints(args)
-    budget = args.budget or search.DEFAULT_COUNT_BUDGET
-    outcome = search.count_by_length(c, args.n_max, budget=budget)
+    try:
+        outcome = search.count_by_length(c, args.n_max, budget=_budget(args, search.DEFAULT_COUNT_BUDGET))
+    except ValueError as exc:  # a negative --n-max
+        raise UsageError(str(exc)) from exc
     _emit(
         {
             "constraints": c.describe(),
@@ -228,8 +237,8 @@ TABLE6_ROWS = [(5, "3", 17), (8, "8/3", 52), (9, "38/15", 407), (14, "5/2", 92),
 
 
 def cmd_reproduce_tables(args) -> int:
+    budget = _budget(args, search.DEFAULT_SEARCH_BUDGET)
     registry = morphisms.load_registry()  # raises on checksum mismatch
-    budget = args.budget or search.DEFAULT_SEARCH_BUDGET
     failures = 0
     budget_hit = False
     names = ["xi3", "xi5", "xi6"] if args.table in (1, 2) else ["zeta3", "zeta6", "zeta9", "zeta10", "zeta15", "zeta16"]

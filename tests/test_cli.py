@@ -92,6 +92,20 @@ def test_search_budget_exit(capsys):
     assert records[0]["exhausted"] is False
 
 
+def test_negative_sizes_are_usage_errors(capsys):
+    assert run(capsys, "count", "--beta", "2", "--n-max", "-1")[0] == EXIT_USAGE
+    assert run(capsys, "search", "--beta", "2", "--max-depth", "-3")[0] == EXIT_USAGE
+
+
+def test_budget_below_one_is_a_usage_error(capsys):
+    # --budget 0 is a budget, not a missing one
+    for argv in (["search", "--max-order", "2"], ["count", "--max-order", "2", "--n-max", "8"],
+                 ["reproduce-tables", "--table", "3"]):
+        for budget in ("0", "-5"):
+            code, records, _ = run(capsys, *argv, "--budget", budget)
+            assert (code, records) == (EXIT_USAGE, []), (argv, budget)
+
+
 def test_count(capsys):
     code, records, _ = run(capsys, "count", "--beta", "2", "--n-max", "5")
     assert code == EXIT_OK

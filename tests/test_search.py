@@ -163,6 +163,15 @@ def test_count_without_symmetry():
         assert out.counts[n] == brute_count(c, n), n
 
 
+def test_negative_sizes_raise_value_error():
+    with pytest.raises(ValueError, match="max_depth"):
+        count_by_length(GOOD, -1)
+    with pytest.raises(ValueError, match="max_depth"):
+        longest_word(GOOD, max_depth=-3)
+    assert count_by_length(GOOD, 0).counts == [1]
+    assert longest_word(GOOD, max_depth=0).max_length == 0
+
+
 def test_budget_flagged():
     out = count_by_length(GOOD, 30, budget=50)
     assert not out.complete
