@@ -2,8 +2,8 @@
 prefixes at a time.
 
 The words satisfying a ConstraintSet form a prefix-closed tree.  The engine
-walks it depth first over segments: prefixes of one length that are next to
-each other in lexicographic order, rows of one array.  Each row carries the
+walks it depth first over a stack of blocks: the valid children of one
+expansion, rows of one array with a length per row.  Each row carries the
 state of its frontier:
 
   * for every distance p, the maximal equality run and inequality run
@@ -24,21 +24,26 @@ short of it and the child's letter extends that run, so the power mask, the
 order-cap mask and the new antisquares come from the few such (row,
 distance) pairs of the parent; the automaton lookup and the new-tag
 membership test finish the checks.  Then the survivors' rows are built
-(match, run update), and the children of the rows taken from each segment go
-back on the stack as one segment, lowest on top.  So the rows of each length
-are expanded in lexicographic order, and the first row of the first segment
+(match, run update) in the order of their parents, and go on the stack as
+one block.  Rows of several lengths share an array: a row's letters past its
+length match no letter, so its runs there stay 0.
+
+The rows taken from the stack are sorted deepest first, so their children
+are too: the front rows of the top block are the top of the stack, and the
+deepest children, the only ones that can be a new longest word, reach a
+target or have length max_depth, are the first rows of their block.  The
+rows of each length are expanded in lexicographic order, and the first row
 to reach a length is the least valid word of that length.
 
-An expansion takes the first CHUNK rows of the top segment in a search for
-a target length, whose node count depends on this grouping.  A node is one
+An expansion takes the first CHUNK rows of the top block in a search for a
+target length, whose node count depends on this grouping.  A node is one
 attempted child, so a closed tree costs the same node count however the rows
 are grouped, and the cost of an expansion is mostly the fixed cost of its
-array calls: a closed search takes up to MERGE_ROWS rows, from the top
-segment and then the segments below it, whatever their lengths; shorter rows
-are padded so that they never reach a bound.  This keeps the order above.
-Lengths never increase from the top of a depth-first stack down, so the rows
-below are the ones the walk would expand next, in that order, and a new
-length can only be the top segment's length plus one.
+array calls: a closed search takes up to MERGE_ROWS rows, from the top block
+and then the blocks below it, whatever their lengths.  This keeps the order
+above.  Lengths never increase from the top of a depth-first stack down, so
+the rows below are the ones the walk would expand next, in that order, and
+a new length can only be the top row's length plus one.
 """
 
 from __future__ import annotations
@@ -143,8 +148,9 @@ class SearchOutcome:
     exhausted: bool
     nodes_explored: int
     # steps of the walk made by this call, each expanding up to MERGE_ROWS
-    # rows (CHUNK with a target); unlike nodes_explored, not carried over by
-    # a checkpoint
+    # rows from the blocks on top of the stack (CHUNK rows of the top block
+    # with a target); unlike nodes_explored, not carried over by a
+    # checkpoint
     expansions: int
     wall_time: float = 0.0
 
@@ -189,17 +195,15 @@ class _Rows:
 
     back (R, W) holds the letters newest first, so that column p-1 of it and
     of eq and ne is about the letter p back from the frontier; depth (R,)
-    is the length of each prefix, at most W.  eq and ne hold the equality
-    and inequality runs at distances 1..min(W, width); the engine's width
-    leaves out the distances at which no word up to max_depth can break a
-    bound.  At distance depth the runs are 0 (no two letters of the prefix
-    are that far apart) and past it -1, which reaches no bound (an edge can
-    be 0) and grows into the 0 that starts a child's new distance; no check
-    reads the letters past a prefix's length.  state (R,) holds automaton
-    states; suffix (R,) the last letters as an integer, newest in bit 0;
-    tags (R, T) distinct-antisquare ids, the first ntags (R,) of them in
-    use; next (R,) the least letter not yet tried below each prefix.  A
-    field whose constraint is absent is None.
+    is the length of each prefix, at most W, and past it a row's letters
+    are _NO_LETTER.  eq and ne hold the equality and inequality runs at
+    distances 1..min(W, width); the engine's width leaves out the distances
+    at which no word up to max_depth can break a bound.  From distance
+    depth on the runs are 0: no two letters of the prefix are that far
+    apart.  state (R,) holds automaton states; suffix (R,) the last letters
+    as an integer, newest in bit 0; tags (R, T) distinct-antisquare ids, the
+    first ntags (R,) of them in use; next (R,) the least letter not yet
+    tried below each prefix.  A field whose constraint is absent is None.
     """
 
     __slots__ = ("back", "eq", "ne", "state", "suffix", "tags", "ntags", "next", "depth")
@@ -488,21 +492,19 @@ class _DFS:
         children = self._step(rows, tried)
         if not len(children):
             return False
-        depth = children.depth
-        self.counts += np.bincount(depth, minlength=len(self.counts))
-        # the rows are sorted deepest first: those of length d + 1 come first
-        top = int(np.count_nonzero(depth > d))
-        deepest = int(depth[0])
+        self.counts += np.bincount(children.depth, minlength=len(self.counts))
+        deepest = int(children.depth[0])  # the rows are sorted deepest first
         if deepest > len(self.best_text):
             self.best_text = _texts(children.back[:1, :deepest][:, ::-1])[0]
         if target is not None and deepest >= target:
             return True
-        if deepest == self.max_depth:
+        if deepest == self.max_depth:  # the words of length max_depth go no further
+            leaves = int(np.count_nonzero(children.depth == deepest))
             if on_leaf is not None:
-                on_leaf(children.back[:top, :deepest][:, ::-1])
-            if top == len(children):
+                on_leaf(children.back[:leaves, :deepest][:, ::-1])
+            if leaves == len(children):
                 return False
-            children = _compact(children.take(slice(top, None)))
+            children = _compact(children.take(slice(leaves, None)))
         self.stack.append(children)
         return False
 
