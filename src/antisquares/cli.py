@@ -105,8 +105,7 @@ def cmd_generate(args) -> int:
 
 
 def _budget(args, default: int) -> int:
-    """The --budget given, or default if none is; below 1 it is a usage
-    error."""
+    """The --budget given, or default if none is; below 1 a usage error."""
     if args.budget is None:
         return default
     if args.budget < 1:

@@ -450,11 +450,8 @@ class _DFS:
         fit in it."""
         stack = self.stack
         d = int(stack[-1].depth[0])
-        if target is not None:
-            limit = CHUNK
-        else:
-            first = int(np.count_nonzero(stack[-1].depth == d))
-            limit = min(MERGE_ROWS, max(first, (self.budget - self.nodes) // self.base))
+        limit = CHUNK if target is not None else min(
+            MERGE_ROWS, max(int(np.count_nonzero(stack[-1].depth == d)), (self.budget - self.nodes) // self.base))
         parts, size = [], 0
         while stack and size < limit and (not parts or target is None and stack[-1].depth[0]):
             block = stack.pop()
@@ -517,10 +514,9 @@ class _DFS:
         top."""
         chunks = []
         for block in self.stack:
-            depth = block.depth.tolist()
             runs = [0, *np.flatnonzero(np.diff(block.depth)) + 1, len(block)]
             for start, stop in reversed(list(zip(runs, runs[1:]))):
-                d = depth[start]
+                d = int(block.depth[start])
                 rows = [[t, a] for t, a in zip(_texts(block.back[start:stop, :d][:, ::-1]),
                                                block.next[start:stop].tolist())]
                 chunks += [rows[i : i + CHUNK] for i in reversed(range(0, len(rows), CHUNK))]
