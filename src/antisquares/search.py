@@ -77,7 +77,6 @@ CHUNK = 64
 MERGE_ROWS = 512
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
-_NO_LETTER = 255  # the letters of a row past its prefix's length, equal to no letter
 
 
 class BudgetExceeded(Exception):
@@ -196,14 +195,15 @@ class _Rows:
     back (R, W) holds the letters newest first, so that column p-1 of it and
     of eq and ne is about the letter p back from the frontier; depth (R,)
     is the length of each prefix, at most W, and past it a row's letters
-    are _NO_LETTER.  eq and ne hold the equality and inequality runs at
-    distances 1..min(W, width); the engine's width leaves out the distances
-    at which no word up to max_depth can break a bound.  From distance
-    depth on the runs are 0: no two letters of the prefix are that far
-    apart.  state (R,) holds automaton states; suffix (R,) the last letters
-    as an integer, newest in bit 0; tags (R, T) distinct-antisquare ids, the
-    first ntags (R,) of them in use; next (R,) the least letter not yet
-    tried below each prefix.  A field whose constraint is absent is None.
+    are 255, which equals no letter.  eq and ne hold the equality and
+    inequality runs at distances 1..min(W, width); the engine's width leaves
+    out the distances at which no word up to max_depth can break a bound.
+    From distance depth on the runs are 0: no two letters of the prefix are
+    that far apart.  state (R,) holds automaton states; suffix (R,) the last
+    letters as an integer, newest in bit 0; tags (R, T) distinct-antisquare
+    ids, the first ntags (R,) of them in use; next (R,) the least letter not
+    yet tried below each prefix.  A field whose constraint is absent is
+    None.
     """
 
     __slots__ = ("back", "eq", "ne", "state", "suffix", "tags", "ntags", "next", "depth")
@@ -236,12 +236,12 @@ def _texts(letters: np.ndarray) -> list[str]:
 def _merge(parts: list[_Rows]) -> _Rows:
     """The rows of several blocks as one, the first block's rows first (the
     first part itself if it is alone).  Rows narrower than the first are
-    widened with _NO_LETTER and runs of 0."""
+    widened with the letter 255 and runs of 0."""
     if len(parts) == 1:
         return parts[0]
     first, size = parts[0], sum(map(len, parts))
     merged = _Rows(
-        np.full((size, first.back.shape[1]), _NO_LETTER, np.uint8),
+        np.full((size, first.back.shape[1]), 255, np.uint8),
         *[None if a is None else np.zeros((size, a.shape[1]), a.dtype) for a in (first.eq, first.ne)],
         *[None if getattr(first, name) is None else np.concatenate([getattr(p, name) for p in parts])
           for name in ("state", "suffix", "tags", "ntags", "next", "depth")],
@@ -366,7 +366,7 @@ class _DFS:
         grown = np.empty((S, d + 1), np.uint8)
         grown[:, 0] = letter
         back.take(parent, 0, grown[:, 1:], "clip")
-        before = grown[:, 1 : 1 + self.match_width]  # the letters p back, past the prefix _NO_LETTER
+        before = grown[:, 1 : 1 + self.match_width]  # the letters p back, 255 past the prefix
         eq = None if rows.eq is None else self._grow(rows.eq, parent, before == letter[:, None], self.eq_width)
         ne = None if rows.ne is None else self._grow(rows.ne, parent, before == (letter ^ 1)[:, None], self.ne_width)
         suffix = tags = ntags = None
