@@ -526,11 +526,11 @@ def test_stack_pins_no_large_arrays():
     assert widest > 2 * CHUNK
 
 
-def test_checkpoint_of_block_stack(tmp_path):
-    # a block's run of more than CHUNK rows of one length is stored as
-    # chunks of at most CHUNK rows, its first rows last, so that each
-    # length's rows increase from the top of the stored stack down, as they
-    # do on the stack
+def test_checkpoint_of_segment_stack(tmp_path):
+    # a segment, a block's run of rows of one length, of more than CHUNK
+    # rows is stored as chunks of at most CHUNK rows, its first rows last,
+    # so that each length's rows increase from the top of the stored stack
+    # down, as they do on the stack
     path = str(tmp_path / "state.json")
     full = longest_word(GOOD, max_depth=20)
     for budget in range(full.nodes_explored // 8, full.nodes_explored, full.nodes_explored // 8):
@@ -664,10 +664,13 @@ def model_walk(c: ConstraintSet, valid: set[str], max_depth: int, target: Option
     return nodes, best, None
 
 
-def test_engine_matches_oracles_on_random_constraints(tmp_path):
+def test_engine_matches_oracles_on_random_constraints(tmp_path, monkeypatch):
     # seeded constraint sets: counts, longest word, extendable cores and
     # target searches against the oracles above, and every search
-    # interrupted at two budgets, checkpointed and resumed
+    # interrupted at two budgets, checkpointed and resumed.  Each checkpoint
+    # is read back at once, so it need not reach the disk: fsync alone would
+    # cost milliseconds for each of several hundred
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
     rng = random.Random(11)
     path = str(tmp_path / "state.json")
     for _ in range(200):
