@@ -150,8 +150,9 @@ def cmd_search(args) -> int:
 
 def cmd_count(args) -> int:
     c = _constraints(args)
+    budget = _budget(args, search.DEFAULT_COUNT_BUDGET)
     try:
-        outcome = search.count_by_length(c, args.n_max, budget=_budget(args, search.DEFAULT_COUNT_BUDGET))
+        outcome = search.count_by_length(c, args.n_max, budget=budget)
     except ValueError as exc:  # a negative --n-max
         raise UsageError(str(exc)) from exc
     _emit(

@@ -166,8 +166,9 @@ def test_count_without_symmetry():
 def test_negative_sizes_raise_value_error():
     with pytest.raises(ValueError, match="max_depth"):
         count_by_length(GOOD, -1)
-    with pytest.raises(ValueError, match="max_depth"):
-        longest_word(GOOD, max_depth=-3)
+    for c in (GOOD, SQUAREFREEISH):
+        with pytest.raises(ValueError, match="max_depth"):
+            longest_word(c, max_depth=-3)
     assert count_by_length(GOOD, 0).counts == [1]
     assert longest_word(GOOD, max_depth=0).max_length == 0
 
