@@ -47,12 +47,15 @@ def _read_words(source: str) -> list[Word]:
 
 
 def _constraints(args) -> search.ConstraintSet:
-    power = PowerBound.parse(args.beta) if args.beta else None
-    return search.ConstraintSet(
-        power=power,
-        max_antisquare_order=args.max_order,
-        max_distinct_antisquares=args.max_count,
-    )
+    try:
+        power = PowerBound.parse(args.beta) if args.beta else None
+        return search.ConstraintSet(
+            power=power,
+            max_antisquare_order=args.max_order,
+            max_distinct_antisquares=args.max_count,
+        )
+    except (ValueError, ZeroDivisionError) as exc:  # a malformed or missing bound; "1/0" divides by zero
+        raise UsageError(f"bad constraints: {exc}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -143,9 +146,7 @@ def cmd_search(args) -> int:
         }
     )
     print(f"# longest word: {outcome.max_length} (exhausted={outcome.exhausted}, nodes={outcome.nodes_explored})")
-    if not outcome.exhausted and args.target is None:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if outcome.exhausted else EXIT_BUDGET
 
 
 def cmd_count(args) -> int:

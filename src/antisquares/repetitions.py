@@ -28,6 +28,11 @@ class PowerBound:
     threshold: Fraction
     forbid_equal: bool = True
 
+    def __post_init__(self):
+        # every letter has exponent 1, so below these no word but the empty one is free
+        if self.threshold < 1 or self.forbid_equal and self.threshold == 1:
+            raise ValueError(f"a power bound needs a threshold above 1, or 1+; got {self}")
+
     @classmethod
     def parse(cls, text: str) -> "PowerBound":
         """Parse "p/q" (beta-free) or "p/q+" (beta+-free); integers allowed."""

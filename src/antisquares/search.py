@@ -35,15 +35,15 @@ target or have length max_depth, are the first rows of their block.  The
 rows of each length are expanded in lexicographic order, and the first row
 to reach a length is the least valid word of that length.
 
-An expansion takes the first CHUNK rows of the top block in a search for a
-target length, whose node count depends on this grouping.  A node is one
-attempted child, so a closed tree costs the same node count however the rows
-are grouped, and the cost of an expansion is mostly the fixed cost of its
-array calls: a closed search takes up to MERGE_ROWS rows, from the top block
-and then the blocks below it, whatever their lengths.  This keeps the order
-above.  Lengths never increase from the top of a depth-first stack down, so
-the rows below are the ones the walk would expand next, in that order, and
-a new length can only be the top row's length plus one.
+A node is one attempted child, so a closed tree costs the same node count
+however the rows are grouped, and the cost of an expansion is mostly the
+fixed cost of its array calls: an expansion takes up to MERGE_ROWS rows,
+from the top block and then the blocks below it, whatever their lengths.
+This keeps the order above.  Lengths never increase from the top of a
+depth-first stack down, so the rows below are the ones the walk would expand
+next, in that order, and a new length can only be the top row's length plus
+one.  A search for a target length walks the same way and stops after the
+expansion that reaches it.
 """
 
 from __future__ import annotations
@@ -68,12 +68,10 @@ CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
 # nodes between two checkpoint writes
 CHECKPOINT_EVERY = 5_000_000
 
-# Prefixes per chunk.  A target search expands one chunk at a time, so its
-# node count depends on this size, and a checkpoint holds chunks of at most
-# this many rows.
+# Prefixes per chunk of a checkpoint's stack.
 CHUNK = 64
-# Rows per expansion of a closed search.  Larger expansions cost less per
-# node, but their rows and children take more memory while they are built.
+# Rows per expansion.  Larger expansions cost less per node, but their rows
+# and children take more memory while they are built.
 MERGE_ROWS = 512
 _TAG_ORDER = 62  # largest antisquare order whose tag (1<<k) | last k letters fits an int64
 _SUFFIX_MASK = (1 << _TAG_ORDER) - 1
@@ -106,6 +104,10 @@ class ConstraintSet:
             and not self.forbidden_factors
         ):
             raise ValueError("at least one constraint is required")
+        if self.max_antisquare_order is not None and self.max_antisquare_order < 1:
+            raise ValueError(f"max_antisquare_order must be >= 1, got {self.max_antisquare_order}")
+        if self.max_distinct_antisquares is not None and self.max_distinct_antisquares < 0:
+            raise ValueError(f"max_distinct_antisquares must be >= 0, got {self.max_distinct_antisquares}")
         if "" in self.forbidden_factors:
             raise ValueError("a forbidden factor must be nonempty")
         if not set("".join(self.forbidden_factors)) <= set("012"[: self.alphabet_size]):
@@ -147,9 +149,8 @@ class SearchOutcome:
     exhausted: bool
     nodes_explored: int
     # steps of the walk made by this call, each expanding up to MERGE_ROWS
-    # rows from the blocks on top of the stack (CHUNK rows of the top block
-    # with a target); unlike nodes_explored, not carried over by a
-    # checkpoint
+    # rows from the blocks on top of the stack; unlike nodes_explored, not
+    # carried over by a checkpoint
     expansions: int
     wall_time: float = 0.0
 
@@ -422,9 +423,9 @@ class _DFS:
             checkpoint_path: Optional[str] = None) -> bool:
         """Walk the rest of the tree, rows of each length in lexicographic order.
 
-        An expansion of a closed search takes rows while all their children
-        fit in the budget.  on_leaf(letters) gets the valid words of length
-        max_depth, one per row, in lexicographic order across calls.
+        An expansion takes rows while all their children fit in the budget.
+        on_leaf(letters) gets the valid words of length max_depth, one per
+        row, in lexicographic order across calls.
         Returns True iff the tree was closed within budget (or, with target
         set, a word of the target length was reached).
         """
@@ -439,21 +440,19 @@ class _DFS:
                 self.save_checkpoint(checkpoint_path)
         return True
 
-    def _take(self, target) -> _Rows:
+    def _take(self) -> _Rows:
         """Pop the rows of the next expansion, as prefixes of the length of
-        the first one: the first CHUNK rows of the top block in a search for
-        a target length; in a closed search up to MERGE_ROWS rows, from the
-        top block and then the blocks below it, the ones the walk would
-        expand next (module docstring), but never the root, whose first
-        letter may be limited.  A closed search takes the rows of the first
-        length whatever the budget, and more only while all their children
-        fit in it."""
+        the first one: up to MERGE_ROWS rows, from the top block and then
+        the blocks below it, the ones the walk would expand next (module
+        docstring), but never the root, whose first letter may be limited.
+        It takes the rows of the first length whatever the budget, and more
+        only while all their children fit in it."""
         stack = self.stack
         d = int(stack[-1].depth[0])
-        limit = CHUNK if target is not None else min(
+        limit = min(
             MERGE_ROWS, max(int(np.count_nonzero(stack[-1].depth == d)), (self.budget - self.nodes) // self.base))
         parts, size = [], 0
-        while stack and size < limit and (not parts or target is None and stack[-1].depth[0]):
+        while stack and size < limit and (not parts or stack[-1].depth[0]):
             block = stack.pop()
             k = min(len(block), limit - size)
             if k < len(block):
@@ -466,7 +465,7 @@ class _DFS:
         """One expansion of run(); True iff a child reached the target length.
         The arrays of the step go when it returns, before the next one."""
         base, room = self.base, self.budget - self.nodes
-        rows = self._take(target)
+        rows = self._take()
         size, d = rows.back.shape
         if d and not np.count_nonzero(rows.next):
             tried, count = np.ones(base * size, bool), base * size
@@ -624,9 +623,9 @@ def longest_word(
 
     The witness is the lexicographically least maximal-length word (starting
     with 0 under the complement symmetry).  exhausted=True iff the whole tree
-    was closed within budget.  With target set, the search stops at the
-    first chunk that reaches that length (exhausted then just means "target
-    reached").
+    was closed within budget.  With target set, the search stops after the
+    expansion that reaches that length (exhausted then just means "target
+    reached"), and the witness is the least word of that length.
     """
     start = time.monotonic()
     dfs = _DFS(c, max_depth, budget)

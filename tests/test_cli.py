@@ -92,6 +92,24 @@ def test_search_budget_exit(capsys):
     assert records[0]["exhausted"] is False
 
 
+def test_target_search_cut_by_the_budget_exits_3(capsys):
+    code, records, _ = run(capsys, "search", "--beta", "38/15", "--max-count", "9", "--target", "407",
+                           "--budget", "1000")
+    assert (code, records[0]["exhausted"]) == (EXIT_BUDGET, False)
+    assert records[0]["max_length"] < 407
+    # a tree that closes below the target gives an exact answer
+    code, records, _ = run(capsys, "search", "--beta", "2", "--max-depth", "16", "--target", "10")
+    assert (code, records[0]["exhausted"], records[0]["max_length"]) == (EXIT_OK, True, 3)
+
+
+def test_malformed_constraint_flags_are_usage_errors(capsys):
+    for argv in (["count", "--n-max", "5"], ["search", "--beta", "abc"], ["analyze", "0110", "--beta", "abc"],
+                 ["search", "--beta", "1/0"], ["search", "--beta", "1"], ["count", "--max-count", "-1", "--n-max", "5"],
+                 ["search", "--max-order", "0"]):
+        code, records, _ = run(capsys, *argv)
+        assert (code, records) == (EXIT_USAGE, []), argv
+
+
 def test_negative_sizes_are_usage_errors(capsys):
     assert run(capsys, "count", "--beta", "2", "--n-max", "-1")[0] == EXIT_USAGE
     assert run(capsys, "search", "--beta", "2", "--max-depth", "-3")[0] == EXIT_USAGE

@@ -4,7 +4,7 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import repetitions_reference as reference
@@ -135,8 +135,24 @@ def test_power_bound_violated_by():
     assert bp.violated_by(Fraction(13, 5))
 
 
+def test_strict_bound_of_one_is_rejected():
+    # every letter has exponent 1, so the bound would leave the empty word
+    # alone, where the search used to return words of length 2
+    with pytest.raises(ValueError, match="threshold"):
+        PowerBound.parse("1")
+    assert PowerBound.parse("1+").threshold == 1
+
+
+def test_bound_below_one_is_rejected():
+    # satisfies(Word("0"), PowerBound.parse("0")) used to be True
+    for spec in ("0", "1/2", "1/2+", "0+"):
+        with pytest.raises(ValueError, match="threshold"):
+            PowerBound.parse(spec)
+
+
 @given(st.integers(1, 60), st.fractions(min_value=1, max_value=5), st.booleans())
 def test_min_violating_run_is_tight(p, beta, forbid_equal):
+    assume(not (forbid_equal and beta == 1))  # rejected, see test_strict_bound_of_one_is_rejected
     b = PowerBound(beta, forbid_equal)
     r = b.min_violating_run(p)
     assert r >= 1

@@ -41,6 +41,20 @@ def test_constraint_set_requires_something():
         ConstraintSet(forbidden_factors=frozenset({""}))
 
 
+def test_order_cap_below_one_is_rejected():
+    # with order cap 0 count_by_length counted words that check_word could
+    # not check: every word has an antisquare order >= 0
+    with pytest.raises(ValueError, match="max_antisquare_order"):
+        ConstraintSet(max_antisquare_order=0)
+    assert count_by_length(ConstraintSet(max_antisquare_order=1), 3).counts == [1, 2, 2, 2]
+
+
+def test_negative_count_cap_is_rejected():
+    with pytest.raises(ValueError, match="max_distinct_antisquares"):
+        ConstraintSet(max_distinct_antisquares=-1)
+    assert count_by_length(ConstraintSet(max_distinct_antisquares=0), 3).counts == [1, 2, 2, 2]
+
+
 def test_constraint_set_describe():
     c = ConstraintSet(power=PowerBound.parse("7/3+"), max_antisquare_order=4)
     assert "7/3+" in c.describe()
@@ -227,22 +241,40 @@ def test_ternary_search_resumes_from_checkpoint(tmp_path):
 
 
 CAP8 = ConstraintSet(power=PowerBound.parse("8/3"), max_distinct_antisquares=8)
+CAP15 = ConstraintSet(power=PowerBound.parse("17/7"), max_distinct_antisquares=15)
 
 
 def test_target_short_circuits():
-    # a target search expands one chunk at a time, so its node count is that
-    # of the engine before expansions merged chunks, where these were measured
+    # a target search walks like a closed search, up to MERGE_ROWS rows per
+    # expansion, and stops after the expansion that reaches the target; its
+    # node count is the closed walk's count there.  These counts moved from
+    # 1587, 3733 and 20333 when target searches stopped expanding one 64-row
+    # chunk at a time; the witnesses did not
     for c, target, max_depth, nodes, witness in (
-        (GOOD, 20, 64, 1587, "0" * 20),
-        (CAP8, 52, 512, 3733, "0010010100110010100110011010011001101011001101011011"),
+        (GOOD, 20, 64, 7541, "0" * 20),
+        (CAP8, 52, 512, 18307, "0010010100110010100110011010011001101011001101011011"),
         (
-            ConstraintSet(power=PowerBound.parse("17/7"), max_distinct_antisquares=15), 156, 512, 20333,
+            CAP15, 156, 512, 112391,
             "001011001101001011001001101001100100110100101100100110010110010011010010110010011010"
             "011001001101001011001001100101100100110100101100100110010110010011001001",
         ),
     ):
         out = longest_word(c, target=target, max_depth=max_depth)
         assert (out.exhausted, out.max_length, out.nodes_explored, out.witness.text) == (True, target, nodes, witness)
+
+
+@pytest.mark.parametrize("c,target", [(CAP8, 52), (CAP15, 156)], ids=["cap8", "cap15"])
+def test_target_search_is_a_prefix_of_the_closed_walk(c, target):
+    # the closed walk passes through the point, (expansions, nodes), at
+    # which the target search stops
+    dfs = _DFS(c, 512, 10**9)
+    points = set()
+    while dfs.stack:
+        dfs._expand(None, None)
+        points.add((dfs.expansions, dfs.nodes))
+    out = longest_word(c, target=target, max_depth=512)
+    assert out.exhausted and out.max_length == target
+    assert (out.expansions, out.nodes_explored) in points
 
 
 def test_merged_expansions_fill_chunks():
@@ -620,11 +652,11 @@ def model_walk(c: ConstraintSet, valid: set[str], max_depth: int, target: Option
     root or from a stored stack: the node count, the longest word reached
     and, if the budget ends the walk, the stack a checkpoint stores then.
 
-    A search for a target length expands the first CHUNK rows of the top
-    block at a time.  A closed search expands up to MERGE_ROWS rows, from
-    the top block and then the blocks below it but not the root: the rows
-    of the first length whatever the budget, and more only while all their
-    children fit in it.  The valid children go on the stack as one block.
+    An expansion takes up to MERGE_ROWS rows, from the top block and then
+    the blocks below it but not the root: the rows of the first length
+    whatever the budget, and more only while all their children fit in it.
+    The valid children go on the stack as one block.  A search for a target
+    length stops after the expansion that reaches it.
     Where the budget ends inside an expansion, the rows with untried
     children go back as one block, below the children of the rows tried."""
     stack = [[("", 0)]] if stack is None else [[tuple(row) for row in chunk] for chunk in stack]
@@ -635,9 +667,9 @@ def model_walk(c: ConstraintSet, valid: set[str], max_depth: int, target: Option
         d = len(stack[-1][0][0])
         room = MERGE_ROWS if budget is None else (budget - nodes) // base
         first = sum(len(t) == d for t, _ in stack[-1])
-        limit = CHUNK if target is not None else min(MERGE_ROWS, max(first, room))
+        limit = min(MERGE_ROWS, max(first, room))
         rows = []
-        while stack and len(rows) < limit and (not rows or target is None and stack[-1][0][0]):
+        while stack and len(rows) < limit and (not rows or stack[-1][0][0]):
             block = stack.pop()
             k = min(len(block), limit - len(rows))
             if k < len(block):
