@@ -54,7 +54,7 @@ def _constraints(args) -> search.ConstraintSet:
             max_antisquare_order=args.max_order,
             max_distinct_antisquares=args.max_count,
         )
-    except (ValueError, ZeroDivisionError) as exc:  # a malformed or missing bound; "1/0" divides by zero
+    except ValueError as exc:  # a malformed or missing bound
         raise UsageError(f"bad constraints: {exc}") from exc
 
 
@@ -95,6 +95,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.length < 1:
+        raise UsageError(f"--length must be >= 1, got {args.length}")
     if args.word_w:
         w = fibanalysis.word_w_prefix(args.length)
     else:
@@ -102,6 +104,8 @@ def cmd_generate(args) -> int:
         if args.morphism not in registry:
             raise UsageError(f"unknown morphism {args.morphism!r}; known: {sorted(registry)}")
         m = registry[args.morphism].morphism
+        if not (0 <= args.seed < m.domain_alphabet and m.prolongable_on(args.seed)):
+            raise UsageError(f"{args.morphism} has no fixed point starting with letter {args.seed}")
         w = morphisms.fixed_point_prefix(m, args.seed, args.length)[: args.length]
     print(w.text)
     return EXIT_OK
@@ -117,8 +121,9 @@ def _budget(args, default: int) -> int:
 
 
 def _longest_word(c: search.ConstraintSet, resume_from=None, **kwargs) -> search.SearchOutcome:
-    """search.longest_word, with a negative max_depth or a checkpoint that
-    cannot be resumed reported as a usage error."""
+    """search.longest_word, with a negative max_depth, a target outside
+    1..max_depth or a checkpoint that cannot be resumed reported as a usage
+    error."""
     try:
         return search.longest_word(c, resume_from=resume_from, **kwargs)
     except ValueError as exc:
@@ -200,6 +205,8 @@ def cmd_verify_morphism(args) -> int:
 
 
 def cmd_minimal_antisquares(args) -> int:
+    if args.max_order < 1:
+        raise UsageError(f"--max-order must be >= 1, got {args.max_order}")
     if args.closed_form:
         table = MinimalAntisquareTable({order: characterized_minimal(order) for order in range(1, args.max_order + 1)})
     else:
@@ -210,6 +217,8 @@ def cmd_minimal_antisquares(args) -> int:
 
 def cmd_fib_report(args) -> int:
     n = args.prefix_len
+    if n < 100:  # the repetition analysis needs this many letters
+        raise UsageError(f"--prefix-len must be >= 100, got {n}")
     inv = inventory(fibanalysis.word_w_prefix(n))
     ana = fibanalysis.analyze_w_repetitions(n)
     gap = 2 + (1 + 5**0.5) / 2 - float(ana.max_exponent)  # display only; PASS is decided exactly

@@ -78,6 +78,8 @@ def fixed_point_prefix(m: Morphism, seed: int, min_length: int) -> Word:
     """A prefix of length >= min_length of the unique fixed point of m
     starting with the seed letter.  Prefix-stable: longer requests only
     extend the result."""
+    if not 0 <= seed < m.domain_alphabet:
+        raise ValueError(f"letter {seed} outside morphism domain")
     if not m.prolongable_on(seed):
         raise ValueError(f"morphism is not prolongable on letter {seed}")
     text = str(seed)

@@ -35,13 +35,18 @@ class PowerBound:
 
     @classmethod
     def parse(cls, text: str) -> "PowerBound":
-        """Parse "p/q" (beta-free) or "p/q+" (beta+-free); integers allowed."""
+        """Parse "p/q" (beta-free) or "p/q+" (beta+-free); integers allowed.
+        ValueError if the text is no such bound, a zero denominator included."""
         text = text.strip()
         forbid_equal = True
         if text.endswith("+"):
             forbid_equal = False
             text = text[:-1]
-        return cls(Fraction(text), forbid_equal)
+        try:
+            threshold = Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"a power bound needs a nonzero denominator; got {text!r}") from exc
+        return cls(threshold, forbid_equal)
 
     def __str__(self) -> str:
         body = f"{self.threshold.numerator}/{self.threshold.denominator}"

@@ -42,8 +42,11 @@ from the top block and then the blocks below it, whatever their lengths.
 This keeps the order above.  Lengths never increase from the top of a
 depth-first stack down, so the rows below are the ones the walk would expand
 next, in that order, and a new length can only be the top row's length plus
-one.  A search for a target length walks the same way and stops after the
-expansion that reaches it.
+one.  So read from the top down, the stack is one list of rows, the longest
+first and those of each length in lexicographic order: a checkpoint stores
+it as that list.  A search for a target length walks the same way and stops
+after the expansion that reaches it, and a node budget only stops the walk,
+inside the expansion that reaches it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,12 +68,10 @@ from .words import Word, complement_text
 DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_COUNT_BUDGET = 10**7
 
-CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v3"
+CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v4"
 # nodes between two checkpoint writes
 CHECKPOINT_EVERY = 5_000_000
 
-# Prefixes per chunk of a checkpoint's stack.
-CHUNK = 64
 # Rows per expansion.  Larger expansions cost less per node, but their rows
 # and children take more memory while they are built.
 MERGE_ROWS = 512
@@ -423,7 +425,8 @@ class _DFS:
             checkpoint_path: Optional[str] = None) -> bool:
         """Walk the rest of the tree, rows of each length in lexicographic order.
 
-        An expansion takes rows while all their children fit in the budget.
+        The budget only stops the walk: the expansion that reaches it tries
+        children up to it, so the walk stops at exactly that many nodes.
         on_leaf(letters) gets the valid words of length max_depth, one per
         row, in lexicographic order across calls.
         Returns True iff the tree was closed within budget (or, with target
@@ -444,17 +447,13 @@ class _DFS:
         """Pop the rows of the next expansion, as prefixes of the length of
         the first one: up to MERGE_ROWS rows, from the top block and then
         the blocks below it, the ones the walk would expand next (module
-        docstring), but never the root, whose first letter may be limited.
-        It takes the rows of the first length whatever the budget, and more
-        only while all their children fit in it."""
+        docstring), but never the root, whose first letter may be limited."""
         stack = self.stack
         d = int(stack[-1].depth[0])
-        limit = min(
-            MERGE_ROWS, max(int(np.count_nonzero(stack[-1].depth == d)), (self.budget - self.nodes) // self.base))
         parts, size = [], 0
-        while stack and size < limit and (not parts or stack[-1].depth[0]):
+        while stack and size < MERGE_ROWS and (not parts or stack[-1].depth[0]):
             block = stack.pop()
-            k = min(len(block), limit - size)
+            k = min(len(block), MERGE_ROWS - size)
             if k < len(block):
                 stack.append(_compact(block.take(slice(k, None))))
             parts.append(block.take(slice(k), d))
@@ -474,8 +473,9 @@ class _DFS:
             tried = (letter >= rows.next.repeat(base)) & (letter < (self.first_letter_limit if d == 0 else base))
             count = int(np.count_nonzero(tried))
         if count > room:
-            # the budget ends inside the rows of the first length: keep the
-            # rows with untried children, each with the first letter not tried
+            # the budget ends inside the expansion: the rows with untried
+            # children go back, each with its first letter not tried, below
+            # the children of the rows tried
             untried = np.flatnonzero(tried)[room:]
             tried[untried] = False
             first = untried[np.flatnonzero(np.diff(untried // base, prepend=-1))]
@@ -506,24 +506,20 @@ class _DFS:
 
     def save_checkpoint(self, path: str) -> None:
         """Write the search state atomically: a temporary file is made
-        durable and then renamed over path.  The stack is stored bottom first
-        as chunks of at most CHUNK [prefix, next letter] rows of one length:
-        each block from its last rows up, cut into its runs of one length and
-        each run into chunks from its last rows up, so its first rows stay on
-        top."""
-        chunks = []
-        for block in self.stack:
+        durable and then renamed over path.  The stack is stored as one list
+        of [prefix, next letter] rows, top of the stack first, so their keys
+        (-length, prefix) strictly increase (module docstring)."""
+        rows = []
+        for block in reversed(self.stack):
             runs = [0, *np.flatnonzero(np.diff(block.depth)) + 1, len(block)]
-            for start, stop in reversed(list(zip(runs, runs[1:]))):
+            for start, stop in zip(runs, runs[1:]):
                 d = int(block.depth[start])
-                rows = [[t, a] for t, a in zip(_texts(block.back[start:stop, :d][:, ::-1]),
-                                               block.next[start:stop].tolist())]
-                chunks += [rows[i : i + CHUNK] for i in reversed(range(0, len(rows), CHUNK))]
+                rows += map(list, zip(_texts(block.back[start:stop, :d][:, ::-1]), block.next[start:stop].tolist()))
         state = {
             "magic": CHECKPOINT_MAGIC,
             "constraints": self.c.describe(),
             "max_depth": self.max_depth,
-            "stack": chunks,
+            "stack": rows,
             "nodes": self.nodes,
             "best_witness": self.best_text,
         }
@@ -536,7 +532,9 @@ class _DFS:
 
     def restore(self, path: str) -> None:
         """Load a checkpoint; ValueError if it is not one of this format, was
-        written under other constraints or another max_depth, or is corrupt."""
+        written under other constraints or another max_depth, or is corrupt:
+        among others, if its rows are not in the order of the stack, which
+        also rejects a row stored twice."""
         with open(path) as fh:
             state = json.load(fh)  # malformed text raises a ValueError subclass
         if not isinstance(state, dict) or state.get("magic") != CHECKPOINT_MAGIC:
@@ -552,55 +550,48 @@ class _DFS:
         def word(text) -> bool:
             return isinstance(text, str) and set(text) <= set("012"[: self.base])
 
-        def chunk_ok(chunk) -> bool:
-            if not (isinstance(chunk, list) and 1 <= len(chunk) <= CHUNK
-                    and all(isinstance(row, list) and len(row) == 2 for row in chunk)):
+        def row_ok(row) -> bool:
+            if not (isinstance(row, list) and len(row) == 2 and word(row[0])):
                 return False
-            d = len(chunk[0][0]) if word(chunk[0][0]) else -1
-            limit = self.first_letter_limit if d == 0 else self.base
-            return 0 <= d < self.max_depth and all(
-                word(t) and len(t) == d and (self.first_letter_limit > 1 or not t.startswith("1"))
-                and type(a) is int and 0 <= a < limit for t, a in chunk
-            ) and all(u[0] < v[0] for u, v in zip(chunk, chunk[1:]))  # rows strictly increase
+            t, a = row
+            return (len(t) < self.max_depth and (self.first_letter_limit > 1 or not t.startswith("1"))
+                    and type(a) is int and 0 <= a < (self.base if t else self.first_letter_limit))
 
         if not (
             isinstance(stack, list)
-            and all(map(chunk_ok, stack))
+            and all(map(row_ok, stack))
+            and all((-len(u), u) < (-len(v), v) for (u, _), (v, _) in zip(stack, stack[1:]))
             and word(best)
             and len(best) <= self.max_depth
             and type(nodes) is int
             and nodes >= 0
         ):
             raise ValueError("corrupt checkpoint")
-        groups, position = self._replay([t for chunk in stack for t, _ in chunk] + [best])
-        self.stack, i = [], 0
-        for chunk in stack:
-            rows = groups[len(chunk[0][0])].take(position[i : i + len(chunk)])
-            rows.next = np.array([a for _, a in chunk], np.uint8)
-            self.stack.append(rows)
-            i += len(chunk)
+        groups = self._replay([t for t, _ in stack] + [best])
+        self.stack = []
+        for d, run in groupby(stack, key=lambda row: len(row[0])):
+            run = list(run)
+            rows = groups[d].take(slice(len(run)))  # best, replayed last, may follow them
+            rows.next = np.array([a for _, a in run], np.uint8)
+            self.stack.insert(0, rows)
         self.nodes = nodes
         self.best_text = best
 
-    def _replay(self, texts: list[str]) -> tuple[dict[int, _Rows], list[int]]:
-        """Rebuild the rows of the given prefixes through the same step.
-
-        Returns the rows of each length and the position of every text among
-        those of its length; ValueError if a prefix breaks the constraints.
-        """
-        order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))
-        lengths = np.array([len(texts[i]) for i in order])
+    def _replay(self, texts: list[str]) -> dict[int, _Rows]:
+        """Rebuild the rows of the given prefixes through the same step: the
+        rows of each length, in the order of the texts; ValueError if a
+        prefix breaks the constraints."""
+        texts = sorted(texts, key=len, reverse=True)  # stable
+        lengths = np.array(list(map(len, texts)))
         letters = np.zeros((len(texts), lengths[0]), np.uint8)
-        for r, i in enumerate(order):
-            letters[r, : lengths[r]] = np.frombuffer(texts[i].encode(), np.uint8) - 48
+        for r, t in enumerate(texts):
+            letters[r, : len(t)] = np.frombuffer(t.encode(), np.uint8) - 48
         rows = self.root.take(np.zeros(len(texts), np.intp))
-        groups, position = {}, [0] * len(texts)
+        groups = {}
         for d in range(lengths[0] + 1):
             live = int(np.count_nonzero(lengths > d))
             if live < len(rows):
                 groups[d] = rows.take(slice(live, None))
-                for pos, r in enumerate(range(live, len(rows))):
-                    position[order[r]] = pos
             if not live:
                 break
             tried = np.zeros(self.base * live, bool)
@@ -608,7 +599,7 @@ class _DFS:
             rows = self._step(rows.take(slice(0, live)), tried)
             if len(rows) < live:
                 raise ValueError("corrupt checkpoint: a stored prefix breaks the constraints")
-        return groups, position
+        return groups
 
 
 def longest_word(
@@ -625,8 +616,11 @@ def longest_word(
     with 0 under the complement symmetry).  exhausted=True iff the whole tree
     was closed within budget.  With target set, the search stops after the
     expansion that reaches that length (exhausted then just means "target
-    reached"), and the witness is the least word of that length.
+    reached"), and the witness is the least word of that length; ValueError
+    unless 1 <= target <= max_depth.
     """
+    if target is not None and not 1 <= target <= max_depth:
+        raise ValueError(f"target must be between 1 and max_depth {max_depth}, got {target}")
     start = time.monotonic()
     dfs = _DFS(c, max_depth, budget)
     if resume_from:

@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import groupby
 
 import pytest
 
@@ -110,6 +111,31 @@ def test_malformed_constraint_flags_are_usage_errors(capsys):
         assert (code, records) == (EXIT_USAGE, []), argv
 
 
+def test_target_outside_one_to_max_depth_is_a_usage_error(capsys):
+    # --target 0 used to report max_length 1, exhausted, exit 0
+    for argv in (["--target", "0"], ["--target", "-5"], ["--target", "600"], ["--max-depth", "16", "--target", "17"]):
+        code, records, _ = run(capsys, "search", "--beta", "2", *argv)
+        assert (code, records) == (EXIT_USAGE, []), argv
+    code, records, _ = run(capsys, "search", "--beta", "2", "--max-depth", "16", "--target", "16")
+    assert (code, records[0]["max_length"]) == (EXIT_OK, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--word-w", "--length", "0"],
+    ["generate", "--morphism", "fib", "--length", "-3"],  # printed an empty line
+    ["generate", "--morphism", "fib", "--seed", "1", "--length", "5"],  # fib is not prolongable on 1
+    ["generate", "--morphism", "fib", "--seed", "5", "--length", "5"],  # outside fib's domain
+    ["fib-report", "--prefix-len", "50"],
+    ["minimal-antisquares", "--max-order", "0"],
+    ["minimal-antisquares", "--max-order", "0", "--closed-form"],  # printed an empty table
+], ids=["word-w-length-0", "negative-length", "seed-not-prolongable", "seed-outside-domain", "short-fib-report",
+        "max-order-0", "closed-form-max-order-0"])
+def test_bad_sizes_and_seeds_are_usage_errors(capsys, argv):
+    # each of these ended in a traceback with exit 1 or printed nothing with exit 0
+    code, _, out = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, ""), argv
+
+
 def test_negative_sizes_are_usage_errors(capsys):
     assert run(capsys, "count", "--beta", "2", "--n-max", "-1")[0] == EXIT_USAGE
     assert run(capsys, "search", "--beta", "2", "--max-depth", "-3")[0] == EXIT_USAGE
@@ -208,7 +234,8 @@ def test_search_resume_from_garbage_is_usage_error(tmp_path, capsys):
 
 
 def test_search_resume_from_v2_checkpoint_is_usage_error(tmp_path, capsys):
-    # a checkpoint of the letter-by-letter engine (format v2) is not resumed
+    # a checkpoint of the letter-by-letter engine (format v2) is not resumed,
+    # nor one whose stack is stored as chunks of rows of one length (v3)
     c = ConstraintSet(power=PowerBound.parse("2"))
     path = str(tmp_path / "v2.ckpt")
     old = search_reference._DFS(c, 512, 2)
@@ -216,6 +243,33 @@ def test_search_resume_from_v2_checkpoint_is_usage_error(tmp_path, capsys):
     old.save_checkpoint(path)
     code, _, _ = run(capsys, "search", "--beta", "2", "--resume", path)
     assert code == EXIT_USAGE
+    path = str(tmp_path / "v3.ckpt")
+    assert run(capsys, "search", "--beta", "2", "--budget", "2", "--checkpoint", path)[0] == EXIT_BUDGET
+    with open(path) as fh:
+        state = json.load(fh)
+    v3 = {**state, "magic": "antisquares-dfs-checkpoint-v3", "stack": [[row] for row in reversed(state["stack"])]}
+    with open(path, "w") as fh:
+        json.dump(v3, fh)
+    code, _, _ = run(capsys, "search", "--beta", "2", "--resume", path)
+    assert code == EXIT_USAGE
+
+
+def test_search_resume_from_rows_out_of_stack_order_is_usage_error(tmp_path, capsys):
+    # the rows of the top length stored twice resumed to 2,627 nodes instead
+    # of 1,715, and the two top lengths swapped to another witness
+    path = str(tmp_path / "state.json")
+    flags = ["search", "--beta", "8/3", "--max-order", "4", "--max-depth", "64"]
+    assert run(capsys, *flags, "--budget", "300", "--checkpoint", path)[0] == EXIT_BUDGET
+    with open(path) as fh:
+        state = json.load(fh)
+    runs = [list(rows) for _, rows in groupby(state["stack"], key=lambda row: len(row[0]))]
+    code, records, _ = run(capsys, *flags, "--resume", path)
+    assert (code, records[0]["nodes"], records[0]["witness"]) == (EXIT_OK, 1715, "00100101001100101001100110100")
+    for stack in (runs[0] + state["stack"], runs[1] + runs[0] + sum(runs[2:], [])):
+        with open(path, "w") as fh:
+            json.dump({**state, "stack": stack}, fh)
+        code, records, _ = run(capsys, *flags, "--resume", path)
+        assert (code, records) == (EXIT_USAGE, [])
 
 
 def test_usage_errors():

@@ -53,6 +53,9 @@ def test_fixed_point_prefix():
     assert phi.apply_text(w.text).startswith(w.text[:20])
     with pytest.raises(ValueError):
         fixed_point_prefix(Morphism(("10", "01")), 0, 5)
+    for seed in (2, 5, -1):  # outside the domain; 5 used to raise IndexError
+        with pytest.raises(ValueError, match="outside morphism domain"):
+            fixed_point_prefix(phi, seed, 5)
 
 
 def test_fixed_point_prefix_stability():

@@ -143,6 +143,14 @@ def test_strict_bound_of_one_is_rejected():
     assert PowerBound.parse("1+").threshold == 1
 
 
+def test_zero_denominator_is_a_value_error():
+    # Fraction("1/0") raises ZeroDivisionError, which a caller catching the
+    # ValueError of every other malformed bound would miss
+    for spec in ("1/0", "1/0+"):
+        with pytest.raises(ValueError, match="denominator"):
+            PowerBound.parse(spec)
+
+
 def test_bound_below_one_is_rejected():
     # satisfies(Word("0"), PowerBound.parse("0")) used to be True
     for spec in ("0", "1/2", "1/2+", "0+"):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import search_reference
 from antisquares.repetitions import PowerBound
 from antisquares.search import (
-    CHUNK,
     MERGE_ROWS,
     BudgetExceeded,
     ConstraintSet,
@@ -187,6 +186,17 @@ def test_negative_sizes_raise_value_error():
     assert longest_word(GOOD, max_depth=0).max_length == 0
 
 
+def test_target_outside_one_to_max_depth_is_rejected():
+    # a target of 0 used to stop after the first expansion with a word of
+    # length 1 reported as reached
+    for target, max_depth in ((0, 16), (-5, 16), (17, 16), (600, 512)):
+        with pytest.raises(ValueError, match="target"):
+            longest_word(SQUAREFREEISH, max_depth=max_depth, target=target)
+    for target in (1, 16):
+        out = longest_word(SQUAREFREEISH, max_depth=16, target=target)
+        assert (out.exhausted, out.max_length) == (True, min(target, 3))
+
+
 def test_budget_flagged():
     out = count_by_length(GOOD, 30, budget=50)
     assert not out.complete
@@ -232,7 +242,7 @@ def test_ternary_search_resumes_from_checkpoint(tmp_path):
         out = longest_word(SQUAREFREE_TERNARY, budget=budget, max_depth=10, checkpoint_path=path)
         assert not out.exhausted and out.nodes_explored == budget
         with open(path) as fh:
-            next_letters.update(a for chunk in json.load(fh)["stack"] for _, a in chunk)
+            next_letters.update(a for _, a in json.load(fh)["stack"])
         resumed = longest_word(SQUAREFREE_TERNARY, max_depth=10, resume_from=path)
         assert (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted) == want, budget
     assert next_letters == {0, 1, 2}  # some row resumes at each letter
@@ -311,8 +321,8 @@ def test_on_leaf_gets_the_longest_words_in_order():
 
 
 def test_interrupted_search_stops_at_budget_and_resumes(tmp_path):
-    # expansions merge chunks only while all their children fit in the
-    # budget, and a resumed run merges the chunks of the checkpoint; power<3/2
+    # the expansion that the budget ends in may take rows of several
+    # lengths, and a resumed run merges the blocks of the checkpoint; power<3/2
     # has a 0 edge at distance 2, which a padded row must not reach
     path = str(tmp_path / "state.json")
     for c in (CAP8, ConstraintSet(power=PowerBound.parse("3/2"), forbidden_factors=frozenset({"111"}))):
@@ -349,12 +359,12 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_resume_with_many_rows(tmp_path):
-    # a wide tree leaves more rows on the stack than one chunk holds
+    # a wide tree leaves more than 64 rows on the stack
     path = str(tmp_path / "state.json")
     full = longest_word(GOOD, max_depth=20)
     partial = longest_word(GOOD, budget=full.nodes_explored // 2, max_depth=20, checkpoint_path=path)
     with open(path) as fh:
-        assert sum(map(len, json.load(fh)["stack"])) > CHUNK
+        assert len(json.load(fh)["stack"]) > 64
     resumed = longest_word(GOOD, max_depth=20, resume_from=path)
     assert not partial.exhausted and resumed.exhausted
     assert (resumed.max_length, resumed.witness, resumed.nodes_explored) == (
@@ -370,7 +380,7 @@ def test_checkpoint_rejects_other_constraints(tmp_path):
         longest_word(GOOD, max_depth=16, resume_from=path)
     with open(path) as fh:
         state = json.load(fh)
-    # one case per field of a v3 checkpoint
+    # one case per field of a v4 checkpoint
     corrupt = [
         {k: v for k, v in state.items() if k != "best_witness"},
         {**state, "best_witness": "0110"},  # an antisquare of order 2
@@ -379,22 +389,22 @@ def test_checkpoint_rejects_other_constraints(tmp_path):
         {**state, "nodes": -1},
         {k: v for k, v in state.items() if k != "stack"},
         {**state, "stack": 7},
-        {**state, "stack": [[]]},  # an empty chunk
-        {**state, "stack": [[[f"{i:08b}", 0] for i in range(CHUNK + 1)]]},  # more rows than a chunk holds
-        {**state, "stack": [[["0110", 0]]]},  # a prefix with an antisquare of order 2
-        {**state, "stack": [[["01", 0], ["010", 0]]]},  # rows of one chunk differ in length
-        {**state, "stack": [[["01", 0], ["01", 0]]]},  # a row twice
-        {**state, "stack": [[["01", 2]]]},  # no letter left to try
-        {**state, "stack": [[["", 1]]]},  # the symmetry tries only 0 first
-        {**state, "stack": [[["10", 0]]]},  # ... so no prefix starts with 1
-        {**state, "stack": [[["0" * 32, 0]]]},  # a prefix at max_depth
+        {**state, "stack": [[]]},  # a row that is no [prefix, next letter] pair
+        {**state, "stack": [["0110", 0]]},  # a prefix with an antisquare of order 2
+        {**state, "stack": [["010", 0], ["01", 0], ["01", 0]]},  # a row twice
+        {**state, "stack": [["01", 0], ["010", 0]]},  # a shorter row above a longer one
+        {**state, "stack": [["010", 0], ["001", 0]]},  # rows of one length out of order
+        {**state, "stack": [["01", 2]]},  # no letter left to try
+        {**state, "stack": [["", 1]]},  # the symmetry tries only 0 first
+        {**state, "stack": [["10", 0]]},  # ... so no prefix starts with 1
+        {**state, "stack": [["0" * 32, 0]]},  # a prefix at max_depth
     ]
     for bad in corrupt:
         with open(path, "w") as fh:
             json.dump(bad, fh)
         with pytest.raises(ValueError, match="corrupt"):
             longest_word(GOOD, max_depth=32, resume_from=path)
-    for magic in (None, "antisquares-dfs-checkpoint-v2"):
+    for magic in (None, "antisquares-dfs-checkpoint-v2", "antisquares-dfs-checkpoint-v3"):
         with open(path, "w") as fh:
             json.dump({**state, "magic": magic}, fh)
         with pytest.raises(ValueError, match="not a search checkpoint"):
@@ -530,9 +540,9 @@ STRICT_15_4 = ConstraintSet(power=PowerBound(Fraction(15, 4), forbid_equal=True)
                                          (STRICT_15_4, 60)])
 def test_closed_expansions_span_chunks(c, max_depth):
     # both are agreement cases, so the reference checks expansions of more
-    # than CHUNK rows on average (two nodes a row)
+    # than 64 rows on average (two nodes a row)
     for out in (count_by_length(c, max_depth, budget=10**9), longest_word(c, max_depth=max_depth)):
-        assert out.nodes_explored / out.expansions > 2 * CHUNK
+        assert out.nodes_explored / out.expansions > 2 * 64
 
 
 def test_stack_pins_no_large_arrays():
@@ -556,35 +566,71 @@ def test_stack_pins_no_large_arrays():
                         held += a.nbytes
         assert sum(owners.values()) <= 2 * held
         widest = max(widest, sum(map(len, dfs.stack)))
-    assert widest > 2 * CHUNK
+    assert widest > 2 * 64
 
 
 def test_checkpoint_of_segment_stack(tmp_path):
-    # a segment, a block's run of rows of one length, of more than CHUNK
-    # rows is stored as chunks of at most CHUNK rows, its first rows last,
-    # so that each length's rows increase from the top of the stored stack
-    # down, as they do on the stack
+    # the stack, read from the top down, is stored as one list of rows whose
+    # keys (-length, prefix) strictly increase, though its blocks hold more
+    # than 64 rows of one length and rows of several lengths; a resumed run
+    # pushes one block per stored length, the deepest on top
     path = str(tmp_path / "state.json")
     full = longest_word(GOOD, max_depth=20)
     for budget in range(full.nodes_explored // 8, full.nodes_explored, full.nodes_explored // 8):
         dfs = _DFS(GOOD, 20, budget)
         assert not dfs.run()
-        if max(np.unique(block.depth, return_counts=True)[1].max() for block in dfs.stack) > CHUNK:
+        if (max(np.unique(block.depth, return_counts=True)[1].max() for block in dfs.stack) > 64
+                and any(len(set(block.depth.tolist())) > 1 for block in dfs.stack)):
             break
     else:
-        pytest.fail("no budget leaves a block with more than CHUNK rows of one length")
+        pytest.fail("no budget leaves a block with more than 64 rows of one length and one of several lengths")
     dfs.save_checkpoint(path)
     with open(path) as fh:
         state = json.load(fh)
-    assert state["magic"] == "antisquares-dfs-checkpoint-v3" and state["nodes"] == budget
-    texts = [[t for t, _ in chunk] for chunk in state["stack"]]
-    assert all(1 <= len(chunk) <= CHUNK and chunk == sorted(set(chunk)) for chunk in texts)
-    for i, lower in enumerate(texts):
-        for upper in texts[i + 1 :]:
-            assert len(upper[0]) != len(lower[0]) or upper[-1] < lower[0]
+    assert state["magic"] == "antisquares-dfs-checkpoint-v4" and state["nodes"] == budget
+    rows = [
+        ["".join(map(str, block.back[i, : block.depth[i]][::-1].tolist())), int(block.next[i])]
+        for block in reversed(dfs.stack) for i in range(len(block))
+    ]
+    assert state["stack"] == rows
+    keys = [(-len(t), t) for t, _ in rows]
+    assert keys == sorted(set(keys))
+    restored = _DFS(GOOD, 20, 10**9)
+    restored.restore(path)
+    lengths = [set(block.depth.tolist()) for block in restored.stack]
+    assert lengths == [{d} for d in sorted({len(t) for t, _ in rows})]
     resumed = longest_word(GOOD, max_depth=20, resume_from=path)
     assert (resumed.max_length, resumed.witness, resumed.nodes_explored, resumed.exhausted) == (
         full.max_length, full.witness, full.nodes_explored, True)
+
+
+@pytest.mark.parametrize("c,max_depth", [(CAP8, 512), (SQUAREFREE_TERNARY, 20)], ids=["cap8", "ternary"])
+def test_budget_only_stops_the_walk(c, max_depth):
+    # up to the expansion that the budget ends in, a budgeted walk takes the
+    # same rows as an unbudgeted one and counts the same nodes; it tries
+    # children of that expansion's rows up to the budget.  CAP8's levels
+    # fit in one expansion each; the ternary tree is wider than MERGE_ROWS,
+    # so some expansions take rows of two lengths, and an expansion sized by
+    # the budget that remains would take fewer of them
+    def walk(budget):
+        dfs = _DFS(c, max_depth, budget)
+        steps, step = [], dfs._step
+
+        def spy(rows, tried):
+            steps.append((rows.depth.tobytes(), rows.back.tobytes(), dfs.nodes))
+            return step(rows, tried)
+
+        dfs._step = spy
+        return dfs.run(), dfs.nodes, steps
+
+    closed, total, full = walk(10**9)
+    assert closed
+    for budget in range(1, total, max(1, total // 13)):
+        done, nodes, steps = walk(budget)
+        assert (done, nodes) == (False, budget)
+        assert steps[:-1] == full[: len(steps) - 1], budget
+        (depth, back, at), (want_depth, want_back, want_at) = steps[-1], full[len(steps) - 1]
+        assert (depth, back) == (want_depth, want_back) and at == budget <= want_at, budget
 
 
 FUZZ_NODES = 600  # largest tree the fuzz oracles walk, in nodes
@@ -635,15 +681,10 @@ def oracle_levels(c: ConstraintSet, max_depth: int) -> tuple[list[list[str]], in
         max_depth -= 1
 
 
-def stored_stack(stack: list[list[tuple[str, int]]]) -> list[list[list]]:
+def stored_stack(stack: list[list[tuple[str, int]]]) -> list[list]:
     """A stack of blocks of (prefix, next letter) rows, deepest first, as a
-    checkpoint stores it: bottom first, each block cut into its runs of one
-    length and each run into chunks of at most CHUNK rows, last ones first."""
-    chunks = []
-    for block in stack:
-        for run in reversed([list(run) for _, run in groupby(block, key=lambda row: len(row[0]))]):
-            chunks += [[list(row) for row in run[i : i + CHUNK]] for i in reversed(range(0, len(run), CHUNK))]
-    return chunks
+    checkpoint stores it: one list of rows, top of the stack first."""
+    return [list(row) for block in reversed(stack) for row in block]
 
 
 def model_walk(c: ConstraintSet, valid: set[str], max_depth: int, target: Optional[int] = None,
@@ -652,26 +693,25 @@ def model_walk(c: ConstraintSet, valid: set[str], max_depth: int, target: Option
     root or from a stored stack: the node count, the longest word reached
     and, if the budget ends the walk, the stack a checkpoint stores then.
 
-    An expansion takes up to MERGE_ROWS rows, from the top block and then
-    the blocks below it but not the root: the rows of the first length
-    whatever the budget, and more only while all their children fit in it.
-    The valid children go on the stack as one block.  A search for a target
-    length stops after the expansion that reaches it.
-    Where the budget ends inside an expansion, the rows with untried
-    children go back as one block, below the children of the rows tried."""
-    stack = [[("", 0)]] if stack is None else [[tuple(row) for row in chunk] for chunk in stack]
+    An expansion takes up to MERGE_ROWS rows, whatever the budget, from the
+    top block and then the blocks below it but not the root.  The valid
+    children go on the stack as one block.  A search for a target length
+    stops after the expansion that reaches it.  Where the budget ends inside
+    an expansion, the rows with untried children go back as one block,
+    below the children of the rows tried.  A stored stack goes back as one
+    block per length, the deepest on top."""
+    if stack is None:
+        stack = [[("", 0)]]
+    else:
+        stack = [[tuple(row) for row in run] for _, run in groupby(stack, key=lambda row: len(row[0]))][::-1]
     base = c.alphabet_size
     while stack:
         if budget is not None and nodes >= budget:
             return nodes, best, stored_stack(stack)
-        d = len(stack[-1][0][0])
-        room = MERGE_ROWS if budget is None else (budget - nodes) // base
-        first = sum(len(t) == d for t, _ in stack[-1])
-        limit = min(MERGE_ROWS, max(first, room))
         rows = []
-        while stack and len(rows) < limit and (not rows or stack[-1][0][0]):
+        while stack and len(rows) < MERGE_ROWS and (not rows or stack[-1][0][0]):
             block = stack.pop()
-            k = min(len(block), limit - len(rows))
+            k = min(len(block), MERGE_ROWS - len(rows))
             if k < len(block):
                 stack.append(block[k:])
             rows += block[:k]
