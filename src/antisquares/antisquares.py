@@ -8,11 +8,12 @@ is |u|.  A binary word is good if its only antisquare factors are 01 and 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .words import Word, complement_text, factor_texts
+from .words import Word, complement_text
 
 
 @dataclass
@@ -57,13 +58,72 @@ def antisquare_order(w: Word) -> int:
     return len(w) // 2 if is_antisquare(w) else 0
 
 
+_BLOCK = 1 << 14  # codes per numpy call in _paired and inventory
+
+
+def _factor_codes(text: str) -> Iterator[tuple[np.ndarray, int]]:
+    """(codes, top) for the factors of length L = 1, 2, ... of a binary
+    text, up to its length: codes[i] is the code of text[i : i+L].  Each
+    level overwrites the codes of the one before.
+
+    Equal factors get equal codes, codes order factors lexicographically,
+    and the complement of the factor with code c has code top - c.  The
+    codes start as the letters (top 1) and grow by one letter a level,
+    c -> 2c + letter and top -> 2 top + 1: while nothing is re-ranked, c is
+    the factor read as an L-bit number and top - c its complement.  Once top
+    passes twice the length, the codes are re-ranked among themselves and
+    their complements: complementing reverses the lexicographic order, so
+    the ranks keep the rule with top = their count - 1, and the codes stay
+    exact at any L.  So top stays below 4 (length + 1), and int32 codes do
+    for texts of up to 2**28 letters.
+    """
+    letters = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - 48
+    if letters.size and letters.max() > 1:
+        raise ValueError("complementary factors are only defined for binary texts")
+    dtype = np.int32 if len(text) < 2**28 else np.int64
+    codes, top = letters.astype(dtype), 1
+    for level in range(1, len(text) + 1):
+        if level > 1:
+            if top > 2 * len(text):
+                table = np.concatenate((codes, top - codes))
+                table.sort()
+                new = np.ones(len(table), dtype=bool)
+                np.not_equal(table[1:], table[:-1], out=new[1:])
+                table = table[new]
+                codes, top = np.searchsorted(table, codes).astype(dtype), len(table) - 1
+            codes = codes[:-1]
+            codes <<= 1
+            codes |= letters[level - 1 :]
+            top = 2 * top + 1
+        yield codes, top
+
+
+def _paired(codes: np.ndarray, top: int) -> bool:
+    """True iff some code of `_factor_codes` and its complement's are both
+    among the given codes."""
+    seen = np.zeros(top + 1, dtype=bool)
+    for x in range(0, len(codes), _BLOCK):  # the index takes 8 bytes a code
+        seen[codes[x : x + _BLOCK]] = True
+    return bool((seen & seen[::-1]).any())
+
+
 def has_complementary_pair(texts: Iterable[str], length: int) -> bool:
-    """True iff some factor of the given length of the texts has its
-    complement among the factors of that length of the texts."""
-    facs: set[str] = set()
-    for text in texts:
-        facs |= factor_texts(text, length)
-    return any(complement_text(v) in facs for v in facs)
+    """True iff some factor of the given length of the binary texts has its
+    complement among the factors of that length of the texts.
+
+    The texts are coded joined, and the windows that cross from one text
+    into the next are left out.
+    """
+    if length < 1:
+        raise ValueError(f"a factor length must be >= 1, got {length}")
+    texts = list(texts)
+    joined = "".join(texts)
+    if length > len(joined):
+        return False
+    codes, top = next(islice(_factor_codes(joined), length - 1, None))
+    lengths = [len(t) for t in texts]
+    end = np.repeat(np.cumsum(lengths), lengths)[: len(codes)]  # of the text that window i starts in
+    return _paired(codes[end - np.arange(len(codes)) >= length], top)
 
 
 def complement_pair_bound(text: str) -> int:
@@ -74,36 +134,37 @@ def complement_pair_bound(text: str) -> int:
     property is monotone and the scan can stop at the first empty level.
     """
     m = 0
-    while m < len(text) and has_complementary_pair([text], m + 1):
+    for codes, top in _factor_codes(text):
+        if not _paired(codes, top):
+            break
         m += 1
     return m
-
-
-def _antisquare_starts(arr: np.ndarray, k: int) -> np.ndarray:
-    """Start positions of antisquare occurrences of order k in arr."""
-    ne = arr[:-k] != arr[k:]
-    if len(ne) < k:
-        return np.empty(0, dtype=np.int64)
-    # an antisquare of order k starting at i needs ne[i..i+k-1] all True;
-    # detect via a running window sum
-    window = np.convolve(ne.astype(np.int32), np.ones(k, dtype=np.int32), mode="valid")
-    return np.flatnonzero(window == k)
 
 
 def inventory(w: Word) -> AntisquareInventory:
     """All distinct antisquare factors of a binary word.
 
     An antisquare of order k makes its two halves a complementary factor
-    pair, so orders are bounded by complement_pair_bound; only those orders
-    are scanned, which keeps the scan fast on long structured words.
+    pair, so orders stop at complement_pair_bound, which keeps the scan
+    fast on long structured words.  At order k the antisquares start where
+    the code of the second half is the complement of the first half's, and
+    the distinct first-half codes tell the distinct antisquares apart, so
+    one text is sliced for each.
     """
     if w.alphabet_size != 2:
         raise ValueError("antisquare inventory is only defined for binary words")
     text = w.text
-    found: set[str] = set()
-    for k in range(1, min(complement_pair_bound(text), len(text) // 2) + 1):
-        found.update(text[s : s + 2 * k] for s in _antisquare_starts(w.array(), k))
-    return AntisquareInventory({Word(t, 2) for t in found})
+    found: set[Word] = set()
+    for order, (codes, top) in enumerate(_factor_codes(text), 1):
+        if 2 * order > len(text) or not _paired(codes, top):
+            break
+        starts = len(codes) - order
+        for x in range(0, starts, _BLOCK):  # a block at a time bounds the temporaries
+            halves = codes[x : min(x + _BLOCK, starts)]
+            hit = (codes[x + order : x + order + len(halves)] == top - halves).nonzero()[0]
+            _, first = np.unique(halves[hit], return_index=True)
+            found.update(Word(text[s : s + 2 * order], 2) for s in (hit[first] + x).tolist())
+    return AntisquareInventory(found)
 
 
 def is_good(w: Word) -> bool:

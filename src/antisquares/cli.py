@@ -126,8 +126,10 @@ def _longest_word(c: search.ConstraintSet, resume_from=None, **kwargs) -> search
     error."""
     try:
         return search.longest_word(c, resume_from=resume_from, **kwargs)
+    except search.CheckpointError as exc:
+        raise UsageError(f"cannot resume from {resume_from}: {exc}") from exc
     except ValueError as exc:
-        raise UsageError(f"cannot resume from {resume_from}: {exc}" if resume_from else str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_search(args) -> int:

@@ -12,9 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from . import morphisms
 from .antisquares import AntisquareInventory, inventory, is_good
-from .repetitions import PowerBound, Repetition, critical_exponent, maximal_repetitions, satisfies
+from .repetitions import PowerBound, Repetition, _exponent_keys, _runs, critical_exponent, satisfies
 from .words import Word
 
 # F_0 = 1, F_1 = 2 indexing throughout this module.
@@ -163,42 +165,60 @@ _SPORADIC_PERIOD_LIMIT = 6
 
 def analyze_w_repetitions(prefix_len: int) -> RepetitionAnalysis:
     """Match every exponent->=3 maximal repetition of the w-prefix against the
-    closed-form (n, p) family."""
+    closed-form (n, p) family.
+
+    The runs of the prefix are classified as arrays, by integer tests
+    alone: exponent >= 3 is length >= 3 period, a period is looked up among
+    the family's, and a family row has length n + p.  Repetition objects
+    are built only for the lists returned, and the rows of one family
+    member share its exponent.
+    """
     if prefix_len < 100:
         raise ValueError("prefix_len must be >= 100")
-    w = word_w_prefix(prefix_len)
-    reps = maximal_repetitions(w, Fraction(3))
-    by_period: dict[int, tuple[int, int, int, Fraction]] = {}
+    start, period, length = _runs(word_w_prefix(prefix_len))
+    cubic = length >= 3 * period
+    start, period, length = start[cubic], period[cubic], length[cubic]
+    return _classify(start, period, length, prefix_len)
+
+
+def _classify(start: np.ndarray, period: np.ndarray, length: np.ndarray, prefix_len: int) -> RepetitionAnalysis:
+    """analyze_w_repetitions for the repetitions (start, period, length),
+    sorted by (start, period), of exponent 3 or more in a prefix of
+    prefix_len letters."""
+    members = []  # (k, n, p, e) by increasing p
     k = 5
     while True:
         n, p, e = family_parameters(k)
         if p > prefix_len:
             break
-        by_period[p] = (k, n, p, e)
+        members.append((k, n, p, e))
         k += 1
-
-    rows, sporadic, unmatched = [], [], []
+    member_p = np.array([p for _, _, p, _ in members])
+    member = np.searchsorted(member_p, period)
+    np.minimum(member, len(members) - 1, out=member)
+    in_family = member_p[member] == period
+    full = np.array([n + p for _, n, p, _ in members])[member]
+    row = in_family & (length == full)
+    # repetitions clipped by the prefix boundary are not informative
+    clipped = (start == 0) | (start + length == prefix_len)
+    sporadic = np.where(in_family, clipped & (length < full), (period < _SPORADIC_PERIOD_LIMIT) | clipped)
+    unmatched = ~(row | sporadic)
+    member = member[row]
+    del in_family, full, clipped  # before the objects, which set the peak memory
     max_exp = Fraction(1)
-    for rep in reps:
-        exp = rep.exponent
-        if exp > max_exp:
-            max_exp = exp
-        # repetitions clipped by the prefix boundary are not informative
-        clipped = rep.start == 0 or rep.start + rep.length == prefix_len
-        if rep.period in by_period:
-            k, n, p, e = by_period[rep.period]
-            if rep.length == n + p and exp == e:
-                rows.append(RepetitionFamilyRow(k, n, p, e, rep))
-            elif clipped and rep.length <= n + p:
-                sporadic.append(rep)
-            else:
-                unmatched.append(rep)
-        elif rep.period < _SPORADIC_PERIOD_LIMIT or clipped:
-            sporadic.append(rep)
-        else:
-            unmatched.append(rep)
+    if len(start):
+        i = int(np.argmax(_exponent_keys(length, period)))
+        max_exp = Fraction(int(length[i]), int(period[i]))
+    shared: dict[int, int] = {}  # many repetitions share a period: one int object each
+
+    def repetitions(mask):
+        # memoryviews hand out Python ints one at a time
+        reps = zip(memoryview(start[mask]), memoryview(period[mask]), memoryview(length[mask]))
+        return [Repetition(s, shared.setdefault(p, p), n) for s, p, n in reps]
+
+    rows = [RepetitionFamilyRow(*members[i], rep) for i, rep in zip(member.tolist(), repetitions(row))]
     rows.sort(key=lambda r: r.k)
-    return RepetitionAnalysis(rows, sporadic, unmatched, max_exp)
+    return RepetitionAnalysis(rows, repetitions(sporadic), repetitions(unmatched), max_exp)
 
 
 def fibonacci_word_antisquares(prefix_len: int) -> AntisquareInventory:

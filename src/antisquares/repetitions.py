@@ -215,20 +215,42 @@ def _lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
     return plcp[sa]
 
 
+_JUMP_MIN = 256  # fewer positions than this are left to the loop
+_JUMP_GAIN = 4  # positions handled by the rounds, at most, per position retired
+
+
 def _lyndon_roots(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) as int32 arrays for the longest Lyndon words word[i:j] of two
     letters or more, where rank orders the suffixes of word$ ('$' last and
     least) with a proper prefix first.
 
     j is the least j > i with rank[j] < rank[i] (Hohlweg and Reutenauer,
-    2003), found by following the answers already known for i+1, ...
+    2003).  Every pointer nxt[i] starts at i+1 and only ever skips
+    positions that rank above i, so while rank[nxt[i]] > rank[i], nxt[i]
+    may jump on to nxt[nxt[i]].  Rounds of such jumps over the positions
+    left retire those whose pointer reaches a lower rank, and the loop
+    finishes the rest in decreasing order, following pointers that are
+    final by then.  A round handles a position in a small share of the time
+    of a loop step, so rounds run while at least _JUMP_MIN positions are
+    left and, with the next round, they would have handled at most
+    _JUMP_GAIN times the positions retired so far, those done at i+1
+    included: no word costs much more than the loop alone.  Under the
+    reversed order no round retires a position of 0·1^k·0; on w the first
+    two rounds retire none, and the next ones all.
     """
     n = len(rank) - 1
-    nxt = np.empty(n + 1, dtype=np.int32)
+    nxt = np.arange(1, n + 2, dtype=np.int32)
+    left = (rank[1:] > rank[:-1]).nonzero()[0].astype(np.int32)
+    work = 0
+    while len(left) >= _JUMP_MIN and work + len(left) <= _JUMP_GAIN * (n - len(left)):
+        work += len(left)
+        target = nxt[nxt[left]]
+        nxt[left] = target
+        left = left[rank[target] > rank[left]]
     out, r = memoryview(nxt), memoryview(rank)
-    for i in range(n - 1, -1, -1):
+    for i in left[::-1].tolist():
         ri = r[i]
-        j = i + 1
+        j = out[i]
         while r[j] > ri:
             j = out[j]
         out[i] = j
@@ -379,6 +401,16 @@ def _unpack(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return key.astype(np.int32), middle, last
 
 
+def _exponent_keys(lengths: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """floor(length * 2**42 / period) as int64, which orders the exponents
+    length/period exactly: periods are below 2**21, so two different
+    exponents differ by more than 2**-42."""
+    key = lengths.astype(np.int64)
+    key <<= 42
+    key //= periods
+    return key
+
+
 def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     """Maximum factor exponent of a nonempty finite word, with a witness.
 
@@ -397,11 +429,7 @@ def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     starts, periods, lengths = _runs(w)
     if len(starts) == 0:
         return _squarefree_critical_exponent(w)
-    # floor(length * 2**42 / period) orders the exponents exactly: periods
-    # are below 2**21, so two different exponents differ by more than 2**-42
-    key = lengths.astype(np.int64)
-    key <<= 42
-    key //= periods
+    key = _exponent_keys(lengths, periods)
     ties = (key == key.max()).nonzero()[0]
     i = ties[np.argmin(periods[ties])]  # runs are sorted by start
     rep = Repetition(int(starts[i]), int(periods[i]), int(lengths[i]))

@@ -84,6 +84,11 @@ class BudgetExceeded(Exception):
     of node budget."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be resumed: not one of this format, written
+    under other constraints or another max_depth, or corrupt."""
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Conjunction of constraints driving search and validation."""
@@ -531,18 +536,21 @@ class _DFS:
         os.replace(tmp, path)
 
     def restore(self, path: str) -> None:
-        """Load a checkpoint; ValueError if it is not one of this format, was
-        written under other constraints or another max_depth, or is corrupt:
-        among others, if its rows are not in the order of the stack, which
-        also rejects a row stored twice."""
+        """Load a checkpoint; CheckpointError if it is not one of this
+        format, was written under other constraints or another max_depth, or
+        is corrupt: among others, if its rows are not in the order of the
+        stack, which also rejects a row stored twice."""
         with open(path) as fh:
-            state = json.load(fh)  # malformed text raises a ValueError subclass
+            try:
+                state = json.load(fh)
+            except ValueError as exc:  # malformed text, or bytes that are no text
+                raise CheckpointError(str(exc)) from exc
         if not isinstance(state, dict) or state.get("magic") != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a search checkpoint file of format {CHECKPOINT_MAGIC}")
+            raise CheckpointError(f"not a search checkpoint file of format {CHECKPOINT_MAGIC}")
         if state.get("constraints") != self.c.describe():
-            raise ValueError("checkpoint was produced under different constraints")
+            raise CheckpointError("checkpoint was produced under different constraints")
         if state.get("max_depth") != self.max_depth:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint was produced with max_depth {state.get('max_depth')}, not {self.max_depth}"
             )
         stack, nodes, best = state.get("stack"), state.get("nodes"), state.get("best_witness")
@@ -566,7 +574,7 @@ class _DFS:
             and type(nodes) is int
             and nodes >= 0
         ):
-            raise ValueError("corrupt checkpoint")
+            raise CheckpointError("corrupt checkpoint")
         groups = self._replay([t for t, _ in stack] + [best])
         self.stack = []
         for d, run in groupby(stack, key=lambda row: len(row[0])):
@@ -579,7 +587,7 @@ class _DFS:
 
     def _replay(self, texts: list[str]) -> dict[int, _Rows]:
         """Rebuild the rows of the given prefixes through the same step: the
-        rows of each length, in the order of the texts; ValueError if a
+        rows of each length, in the order of the texts; CheckpointError if a
         prefix breaks the constraints."""
         texts = sorted(texts, key=len, reverse=True)  # stable
         lengths = np.array(list(map(len, texts)))
@@ -598,7 +606,7 @@ class _DFS:
             tried[self.base * np.arange(live) + letters[:live, d]] = True
             rows = self._step(rows.take(slice(0, live)), tried)
             if len(rows) < live:
-                raise ValueError("corrupt checkpoint: a stored prefix breaks the constraints")
+                raise CheckpointError("corrupt checkpoint: a stored prefix breaks the constraints")
         return groups
 
 

@@ -2,7 +2,9 @@
 `antisquares.repetitions` replaced with its runs computation.  Each period
 p = 1..n costs a full-length numpy pass, so they are quadratic, but every
 period is looked at on its own; the tests compare the runs-based answers
-against them word for word.
+against them word for word.  Beside them, the loops that the runs
+computation and the family analysis of w replaced with array code:
+`lyndon_roots` and `analyze_w_repetitions`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from antisquares import fibanalysis, repetitions
 from antisquares.repetitions import Repetition, _has_run, _runs_of, smallest_period
 from antisquares.words import Word
 
@@ -78,3 +81,58 @@ def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
                 out.append(rep)
     out.sort(key=lambda rep: (rep.start, rep.period))
     return out
+
+
+def lyndon_roots(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`repetitions._lyndon_roots` one position at a time: for i = n-1 down
+    to 0, the least j > i with rank[j] < rank[i], found by following the
+    answers already known for i+1, ..."""
+    n = len(rank) - 1
+    nxt = np.empty(n + 1, dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        j = i + 1
+        while rank[j] > rank[i]:
+            j = nxt[j]
+        nxt[i] = j
+    root = ((nxt[:n] - np.arange(n, dtype=np.int32)) > 1).nonzero()[0]
+    return root.astype(np.int32), nxt[root]
+
+
+def analyze_w_repetitions(prefix_len: int) -> fibanalysis.RepetitionAnalysis:
+    """`fibanalysis.analyze_w_repetitions` over the package's runs, which
+    the tests compare with `maximal_repetitions` above on their own."""
+    w = fibanalysis.word_w_prefix(prefix_len)
+    return classify(repetitions.maximal_repetitions(w, Fraction(3)), prefix_len)
+
+
+def classify(reps: list[Repetition], prefix_len: int) -> fibanalysis.RepetitionAnalysis:
+    """`fibanalysis._classify` one repetition at a time, with exact
+    fractions."""
+    by_period = {}
+    k = 5
+    while True:
+        n, p, e = fibanalysis.family_parameters(k)
+        if p > prefix_len:
+            break
+        by_period[p] = (k, n, p, e)
+        k += 1
+    rows, sporadic, unmatched = [], [], []
+    max_exp = Fraction(1)
+    for rep in reps:
+        exp = rep.exponent
+        max_exp = max(max_exp, exp)
+        clipped = rep.start == 0 or rep.start + rep.length == prefix_len
+        if rep.period in by_period:
+            k, n, p, e = by_period[rep.period]
+            if rep.length == n + p and exp == e:
+                rows.append(fibanalysis.RepetitionFamilyRow(k, n, p, e, rep))
+            elif clipped and rep.length <= n + p:
+                sporadic.append(rep)
+            else:
+                unmatched.append(rep)
+        elif rep.period < fibanalysis._SPORADIC_PERIOD_LIMIT or clipped:
+            sporadic.append(rep)
+        else:
+            unmatched.append(rep)
+    rows.sort(key=lambda r: r.k)
+    return fibanalysis.RepetitionAnalysis(rows, sporadic, unmatched, max_exp)

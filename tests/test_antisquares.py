@@ -1,3 +1,4 @@
+import random
 from itertools import groupby, product
 
 import pytest
@@ -17,7 +18,7 @@ from antisquares.antisquares import (
     pansiot_decode,
     pansiot_encode,
 )
-from antisquares.words import Word, complement, complement_text
+from antisquares.words import Word, complement, complement_text, factor_texts
 
 binary_word = st.text(alphabet="01", min_size=1, max_size=30).map(Word)
 
@@ -69,6 +70,56 @@ def test_complementary_pair_across_texts():
     assert has_complementary_pair(["000", "111"], 3)
     assert not has_complementary_pair(["000"], 3)
     assert not has_complementary_pair(["111"], 3)
+
+
+def brute_pair(texts: list[str], length: int) -> bool:
+    facs = set().union(*(factor_texts(t, length) for t in texts))
+    return any(complement_text(v) in facs for v in facs)
+
+
+def test_factor_codes_stay_exact_beyond_their_width():
+    # factors of 63 letters and more no longer fit an int64 as bits, and
+    # the codes of these words are re-ranked from 10 letters on
+    rng = random.Random(7)
+
+    def noise(k):
+        return "".join(rng.choice("01") for _ in range(k))
+
+    words = ["0" * 70 + "1" * 70]
+    for length in range(60, 67):  # a planted pair v, ~v
+        v = noise(length)
+        words.append(noise(30) + v + noise(25) + complement_text(v) + noise(30))
+    for t in words:
+        paired = [length for length in range(1, len(t) + 1) if brute_pair([t], length)]
+        assert complement_pair_bound(t) == max(paired)
+        for length in range(max(paired) - 3, max(paired) + 3):
+            assert has_complementary_pair([t], length) == brute_pair([t], length)
+        assert {a.text for a in inventory(Word(t)).distinct} == brute_inventory(t)
+    assert complement_pair_bound(words[0]) == 70
+    assert all(complement_pair_bound(t) >= length for t, length in zip(words[1:], range(60, 67)))
+
+
+def test_complementary_pairs_lie_within_one_text():
+    assert has_complementary_pair(["0" * 40, "1" * 40], 40)
+    assert not has_complementary_pair(["0" * 40, "1" * 40], 41)
+    # joined, the texts would pair 0^a·1^b with 1^a·0^b at every length
+    # from 41 to 80, and 01 with 10
+    texts = ["0" * 40, "1" * 40, "0" * 40]
+    for length in (1, 2, 40, 41, 60, 80, 81, 121):
+        assert has_complementary_pair(texts, length) == brute_pair(texts, length) == (length <= 40)
+    assert not has_complementary_pair(["0", "1", "0"], 2)
+    rng = random.Random(11)
+    for _ in range(200):
+        texts = ["".join(rng.choice("01") for _ in range(rng.randrange(0, 12))) for _ in range(rng.randrange(0, 5))]
+        for length in range(1, 14):
+            assert has_complementary_pair(texts, length) == brute_pair(texts, length), (texts, length)
+
+
+def test_complementary_pair_arguments():
+    with pytest.raises(ValueError, match="binary"):
+        has_complementary_pair(["012"], 1)
+    with pytest.raises(ValueError, match="length"):
+        has_complementary_pair(["01"], 0)
 
 
 @given(binary_word)

@@ -233,6 +233,18 @@ def test_search_resume_from_garbage_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_search_resume_prefixes_only_checkpoint_errors(tmp_path, capsys):
+    # a bad target is a usage error of its own, not a failure to resume
+    path = str(tmp_path / "state.json")
+    assert run(capsys, "search", "--beta", "2", "--budget", "2", "--checkpoint", path)[0] == EXIT_BUDGET
+    assert main(["search", "--beta", "2", "--resume", path, "--target", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: target must be between 1 and max_depth 512, got 0\n"
+    with open(path, "w") as fh:
+        fh.write("{")
+    assert main(["search", "--beta", "2", "--resume", path, "--target", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot resume from {path}: ")
+
+
 def test_search_resume_from_v2_checkpoint_is_usage_error(tmp_path, capsys):
     # a checkpoint of the letter-by-letter engine (format v2) is not resumed,
     # nor one whose stack is stored as chunks of rows of one length (v3)

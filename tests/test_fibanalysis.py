@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import repetitions_reference as reference
 from antisquares import fibanalysis as fa
 from antisquares.antisquares import inventory, is_good
 from antisquares.morphisms import squarefree_ternary_words
-from antisquares.repetitions import PowerBound, critical_exponent, satisfies
+from antisquares.repetitions import PowerBound, Repetition, critical_exponent, satisfies
 from antisquares.words import Word
 
 
@@ -91,6 +93,42 @@ def test_analyze_small_prefix():
         z = fa.zeckendorf_encode(row.p)
         assert z.startswith("1001") and set(z[4:]) <= {"0"}
     assert fa.is_below_two_plus_alpha(ana.max_exponent)
+
+
+@pytest.mark.parametrize("prefix_len", [3000, 20_000])
+def test_analyze_matches_the_loop(prefix_len):
+    got, expect = fa.analyze_w_repetitions(prefix_len), reference.analyze_w_repetitions(prefix_len)
+    assert got.rows == expect.rows
+    assert got.sporadic == expect.sporadic
+    assert got.unmatched == expect.unmatched
+    assert got.max_exponent == expect.max_exponent
+    assert got.rows and got.sporadic
+
+
+def test_classification_matches_the_loop_on_every_branch():
+    # the prefixes of w have no unmatched repetition and no clipped one off
+    # the family, so made-up repetitions take the branches they leave out
+    rng = random.Random(17)
+    prefix_len = 5000
+    family = [fa.family_parameters(k)[:2] for k in range(5, 14)]
+    reps = set()
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            n, p = rng.choice(family)
+            length = rng.choice([n + p - 1, n + p, n + p + 1, 2 * p, 3 * p, 4 * p])
+        else:
+            p = rng.randrange(1, 40)
+            length = rng.randrange(2 * p, 6 * p + 1)
+        start = rng.choice([0, prefix_len - length, rng.randrange(prefix_len - length + 1)])
+        reps.add((start, p, length))
+    reps = sorted(rep for rep in reps if rep[2] >= 3 * rep[1])
+    got = fa._classify(*(np.array(c, dtype=np.int32) for c in zip(*reps)), prefix_len)
+    expect = reference.classify([Repetition(*r) for r in reps], prefix_len)
+    assert got.rows == expect.rows
+    assert got.sporadic == expect.sporadic
+    assert got.unmatched == expect.unmatched
+    assert got.max_exponent == expect.max_exponent
+    assert got.rows and got.sporadic and got.unmatched
 
 
 def test_analyze_rejects_tiny_prefix():

@@ -15,6 +15,7 @@ from antisquares.repetitions import (
     Repetition,
     _lce,
     _lcp_array,
+    _lyndon_roots,
     _suffix_ranks,
     critical_exponent,
     exponent,
@@ -266,6 +267,35 @@ def test_suffix_structures_span_several_blocks():
     ranks = zip(rank[a].tolist(), rank[b].tolist())
     expect = [int(lcp[min(r, s) + 1 : max(r, s) + 1].min()) for r, s in ranks]
     assert _lce(rank, lcp.copy(), a, b).tolist() == expect
+
+
+def lyndon_words() -> list[str]:
+    """Words whose pointer chains are long or uneven: 0·1^k·0 needs k
+    jumping rounds for its first position, 1^k retires nothing under the
+    reversed order, and w, the Fibonacci word and random words retire in
+    uneven rounds."""
+    rng = random.Random(31)
+    words = []
+    for k in (1, 2, 255, 256, 257, 3000):
+        words += ["0" + "1" * k + "0", "1" * k, "01" * k]
+    for j, m in ((1, 300), (3, 200), (20, 50), (200, 10), (600, 4)):
+        words.append(("0" + "1" * j) * m)
+    for n in (300, 5000, 20000):
+        words += [fibanalysis.word_w_prefix(n).text, fibanalysis.fibonacci_word_prefix(n).text]
+        words += ["".join(rng.choice(alphabet) for _ in range(n)) for alphabet in ("01", "012")]
+    return words
+
+
+def test_lyndon_roots_match_the_loop():
+    # under the alphabet order and the reversed one, as _runs takes them
+    for text in lyndon_words():
+        n = len(text)
+        rank, _ = _suffix_ranks((text + "$").encode("ascii"))
+        flipped = n - rank
+        flipped[n] = -1
+        for order in rank, flipped:
+            got, expect = _lyndon_roots(order), reference.lyndon_roots(order)
+            assert all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expect)), (text[:20], n)
 
 
 def test_repetition_exponent():
