@@ -117,13 +117,19 @@ def has_complementary_pair(texts: Iterable[str], length: int) -> bool:
     if length < 1:
         raise ValueError(f"a factor length must be >= 1, got {length}")
     texts = list(texts)
-    joined = "".join(texts)
-    if length > len(joined):
+    if length > sum(len(t) for t in texts):
         return False
-    codes, top = next(islice(_factor_codes(joined), length - 1, None))
+    return next(islice(_complementary_levels(texts), length - 1, None))
+
+
+def _complementary_levels(texts: list[str]) -> Iterator[bool]:
+    """has_complementary_pair(texts, L) for L = 1, 2, ... up to the joined
+    length, from one walk of the factor codes."""
     lengths = [len(t) for t in texts]
-    end = np.repeat(np.cumsum(lengths), lengths)[: len(codes)]  # of the text that window i starts in
-    return _paired(codes[end - np.arange(len(codes)) >= length], top)
+    end = np.repeat(np.cumsum(lengths), lengths)  # of the text that window i starts in
+    gap = end - np.arange(len(end))  # letters from window i to the end of its text
+    for length, (codes, top) in enumerate(_factor_codes("".join(texts)), 1):
+        yield _paired(codes[gap[: len(codes)] >= length], top)
 
 
 def complement_pair_bound(text: str) -> int:

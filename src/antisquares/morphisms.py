@@ -5,9 +5,17 @@ bound with antisquare inventory).
 
 The image check walks the tree of squarefree ternary words once,
 appending one image block per node and extending the equality run of every
-period (see image_power_check); it visits only prefixes of words of the
-requested length, so a violation is counted only where some word of that
-length lies below it.
+period that can still break the bound (see image_power_check); it visits
+only prefixes of words of the requested length, so a violation is counted
+only where some word of that length lies below it.  For a uniform morphism
+a node reads its block's matches at every period from tables built once
+per call, indexed by the two blocks the period reaches back into, the new
+letter and the offset (_block_tables); a morphism with images of different
+lengths compares each new block with the image before it at every period
+(_block_matrices).  Both feed one step that tests and extends the runs.
+
+The complement-factor bound walks the factor codes of each window's images
+once, for all the lengths that window serves.
 
 The bound and the inventory rest on the window lemma: for a q-uniform
 morphism h, every factor of length L of h(u), with u squarefree and
@@ -22,12 +30,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .antisquares import AntisquareInventory, has_complementary_pair, inventory
+from .antisquares import AntisquareInventory, _complementary_levels, inventory
 from .repetitions import PowerBound, _runs_of
 from .search import ConstraintSet, _DFS, _texts
 from .words import Word
@@ -146,20 +155,54 @@ def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
     breaks the bound ends in the block of the first node whose image holds
     it, where it shows as a run crossing the block start or lying inside the
     block, so each factor is checked once per tree path, not once per word.
-    The per-depth state is a stack of at most t run vectors.
+    The per-depth state is a stack of at most t run vectors, over only the
+    periods p that can break the bound in the longest image, those with
+    p + min_run(p) <= t * (longest block).
+
+    A node needs three numbers per period from its block: lead, the matches
+    from the block start; trail, the matches back from the block end; and
+    inner, the longest run of matches.  It breaks the bound iff
+    max(old run + lead, inner) >= min_run at some period, and the new run is
+    old + block where the whole block matches, else trail.  For a uniform
+    morphism they come from block tables built once per call (see
+    _block_tables), a gather per node; a morphism with images of different
+    lengths compares each new block with the image before it at every
+    period (_block_matrices).
 
     The walk follows squarefree_ternary_words(t) leaf by leaf, so it visits
     only prefixes of words of length t: a prefix that extends to no such word
     (0102010 is the first) is never visited, and a violation found at any
-    node is one in the image of every word below it.  Per-letter block
-    lengths make non-uniform morphisms work too.
+    node is one in the image of every word below it.
     """
-    if m.domain_alphabet != 3:
-        raise ValueError("image_power_check expects a ternary-domain morphism")
-    if t < 0:
-        raise ValueError("length must be >= 0")
-    if t == 0:
-        return True  # the image of the empty word is empty
+    return _check_images(m, bound, t, _block_tables if m.uniform_length else _block_matrices)
+
+
+def _match_stats(miss: np.ndarray, inner_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lead, trail, inner) of each row of a mismatch matrix whose columns run
+    from the end of a block back to its start: the matches from the block
+    start, the matches back from the block end (the block length where the
+    whole row matches) and, in the first inner_rows rows, the longest run of
+    matches (0 in the rows after them)."""
+    rows, b = miss.shape
+    trail = miss.argmax(axis=1).astype(np.int32)
+    full = ~miss[np.arange(rows), trail]
+    trail[full] = b
+    lead = np.where(full, b, miss[:, ::-1].argmax(axis=1)).astype(np.int32)
+    inner = np.zeros(rows, dtype=np.int32)
+    seg = np.zeros((inner_rows, b + 1), dtype=bool)  # a column of misses keeps runs in their rows
+    np.logical_not(miss[:inner_rows], out=seg[:, :b])
+    starts, lengths = _runs_of(seg.ravel())
+    if starts.size:
+        rows = starts // (b + 1)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))  # of each row's runs, which come in order
+        inner[rows[first]] = np.maximum.reduceat(lengths, first)
+    return lead, trail, inner
+
+
+def _block_matrices(m: Morphism, t: int, reach: int, min_run: np.ndarray):
+    """The general image walk's block step, for images of any lengths: it
+    compares the new block with the letters p before it for every period p,
+    one row of a periods x block matrix each."""
     # images are written back to front into one buffer, so that the letters
     # before position i of the image read forwards from the end of i's block
     blocks = [np.frombuffer(im[::-1].encode("ascii"), dtype=np.uint8) - 48 for im in m.images]
@@ -168,45 +211,100 @@ def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
     # sentinel padding after the image start: x[i - p] with i < p never matches
     text = np.full(size + pad, 255, dtype=np.uint8)
     windows = {len(blk): sliding_window_view(text, len(blk)) for blk in blocks}
-    min_run = np.array([bound.min_violating_run(p) for p in range(1, size + 1)], dtype=np.int32)
-    # periods whose violating runs fit strictly inside a block, by block length
-    inner = {b: int(np.searchsorted(min_run, b)) for b in windows}
-    # row d: the run ending the image at each period, zero past the periods
-    # of the depth-d image
-    runs = np.zeros((t + 1, size), dtype=np.int32)
     ends = [0] * (t + 1)
 
-    def push(depth: int, letter: int) -> bool:
+    def stats(depth: int, letter: int):
         blk = blocks[letter]
         b = len(blk)
         n = ends[depth]
         ends[depth + 1] = n + b
         start = size - n - b
         text[start : start + b] = blk
-        periods = n + b - 1
+        periods = min(n + b - 1, reach)
         # row p-1 compares the block, last letter first, with the b letters
-        # p before them
+        # p before them; inner is needed only where min_run < b, since
+        # elsewhere only a run of the whole block can break the bound, and
+        # lead counts that one
         miss = windows[b][start + 1 : start + 1 + periods] != blk
-        trail = miss.argmax(axis=1)
-        full = ~miss[np.arange(periods), trail]
+        return b, *_match_stats(miss, int(np.searchsorted(min_run[:periods], b)))
+
+    return stats
+
+
+def _block_tables(m: Morphism, t: int, reach: int, min_run: np.ndarray):
+    """The image walk's block step for a q-uniform morphism, by table.
+
+    At depth d the new block h(c) starts at n = dq, and a period p = kq + r
+    compares it with h(a)h(b)[q - r : 2q - r], where a = u[d-k-1] (a
+    sentinel block before the image start) and b = u[d-k], which is c for
+    k = 0.  So lead, trail and inner depend only on (a, b, c, r), and are
+    built once, one (a, b) context at a time; a == b is a square, which the
+    walk never meets.  A step gathers its periods' rows of the tables by the
+    context codes 3a + b, which are kept back to front so that depth d reads
+    k = 0 .. d forwards.
+    """
+    q = m.uniform_length
+    blocks = np.array([np.frombuffer(im.encode("ascii"), dtype=np.uint8) - 48 for im in m.images])
+    sentinel = np.full(q, 255, dtype=np.uint8)
+    # tables[s][c, 3a + b, r] for s = lead, trail, inner
+    tables = np.zeros((3, 3, 12, q), dtype=np.int32)
+    for a in range(4):
+        for b in range(3):
+            if a == b:
+                continue
+            seg = np.concatenate((blocks[a] if a < 3 else sentinel, blocks[b]))
+            shifted = sliding_window_view(seg, q)[q - np.arange(q)]  # row r: seg[q - r : 2q - r]
+            miss = shifted[None] != blocks[:, None]  # (c, r, j), j from the block start
+            stats = _match_stats(miss[:, :, ::-1].reshape(3 * q, q), 3 * q)
+            tables[:, :, 3 * a + b] = np.reshape(stats, (3, 3, q))
+    lead, trail, inner = tables
+    context = np.zeros(t, dtype=np.intp)
+    word = [3] * (t + 1)  # word[d + 1] = u[d]; word[0] is the sentinel
+
+    def stats(depth: int, letter: int):
+        word[depth + 1] = letter
+        at = t - 1 - depth
+        context[at] = 3 * word[depth] + letter
+        periods = min(depth * q + q - 1, reach)
+        ctx = context[at : at + periods // q + 1]  # k = 0 .. periods // q
+        return q, *(table[letter][ctx].ravel()[1 : periods + 1] for table in (lead, trail, inner))
+
+    return stats
+
+
+def _check_images(m: Morphism, bound: PowerBound, t: int, step_stats) -> bool:
+    """image_power_check's walk, with the block step that
+    step_stats(m, t, reach, min_run) returns: stats(depth, letter) appends the
+    block of the letter at that depth and gives its length and its lead,
+    trail and inner at the periods 1, 2, ... of the new image, up to reach."""
+    if m.domain_alphabet != 3:
+        raise ValueError("image_power_check expects a ternary-domain morphism")
+    if t < 0:
+        raise ValueError("length must be >= 0")
+    if t == 0:
+        return True  # the image of the empty word is empty
+    size = t * max(len(im) for im in m.images)
+    # no run reaches size, so min_run may stop there
+    min_run = bound.min_violating_runs(size, size).astype(np.int32)
+    # a period p can break the bound only in an image of p + min_run(p)
+    # letters or more, and p + min_run(p) grows with p
+    reach = int(np.searchsorted(np.arange(1, size + 1) + min_run, size, "right"))
+    min_run = min_run[:reach]
+    stats = step_stats(m, t, reach, min_run)
+    # row d: the run ending the depth-d image at each period, zero past the
+    # periods of that image
+    runs = np.zeros((t + 1, reach), dtype=np.int32)
+
+    def push(depth: int, letter: int) -> bool:
+        b, lead, trail, inner = stats(depth, letter)
+        periods = len(lead)
         old = runs[depth, :periods]
-        # a run through the block start breaks the bound only where the run
-        # that ended the previous image plus the whole block reaches min_run
-        reach = np.flatnonzero(old + b >= min_run[:periods])
-        if reach.size:
-            rows = miss[reach]
-            lead = np.where(full[reach], b, rows[:, ::-1].argmax(axis=1))
-            if (old[reach] + lead >= min_run[reach]).any():
-                return False
-        k = min(inner[b], periods)
-        if k:
-            seg = np.zeros((k, b + 1), dtype=bool)
-            np.logical_not(miss[:k], out=seg[:, :b])
-            starts, lengths = _runs_of(seg.ravel())
-            if (lengths >= min_run[starts // (b + 1)]).any():
-                return False
+        # a run through the block start continues the run that ended the
+        # previous image
+        if (np.maximum(old + lead, inner) >= min_run[:periods]).any():
+            return False
         new = runs[depth + 1]
-        new[:periods] = np.where(full, old + b, trail)
+        new[:periods] = np.where(trail == b, old + b, trail)
         new[periods:] = 0
         return True
 
@@ -256,14 +354,16 @@ def complement_factor_bound(m: Morphism) -> int:
     Raises ValueError for a non-uniform or non-ternary-domain morphism, and
     when pairs persist through windows of MAX_WINDOW letters.
     """
-    length, images = 1, _window_images(m, 1)  # checks m before any window arithmetic
-    while has_complementary_pair(images, length):
-        if length == (MAX_WINDOW - 1) * m.uniform_length:
-            raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")
-        length += 1
-        if (length - 1) % m.uniform_length == 0:  # ceil(length/q) grew: the window is one letter longer
-            images = _window_images(m, length)
-    return length - 1
+    q = m.uniform_length or 0  # _window_images rejects a non-uniform m
+    for window in range(2, MAX_WINDOW + 1):
+        # the window serves the q lengths L with ceil(L/q) + 1 == window, and
+        # one walk of the factor codes of its images answers all of them
+        first = (window - 2) * q + 1
+        levels = _complementary_levels(_window_images(m, first))
+        for length, paired in enumerate(islice(levels, first - 1, first - 1 + q), first):
+            if not paired:
+                return length - 1
+    raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")
 
 
 def morphic_antisquare_inventory(m: Morphism, window: int) -> AntisquareInventory:

@@ -302,14 +302,12 @@ class _DFS:
         self.ne_width = max_depth // 2
         if c.power is not None:
             # runs never reach max_depth, so clipping there keeps every comparison
-            min_run = np.array(
-                [min(c.power.min_violating_run(p), max_depth) for p in range(1, max_depth + 1)], dtype=dtype
-            )
-            self.eq_edge = min_run - 1  # likewise for the equality runs and the power bound
+            min_run = c.power.min_violating_runs(max_depth, max_depth)
+            self.eq_edge = (min_run - 1).astype(dtype)  # likewise for the equality runs and the power bound
             # a word of length L can break the bound only at distances p with
             # p + min_run <= L, and p + min_run grows with p: check a prefix,
             # and keep the equality runs of the distances that ever can
-            self.power_reach = np.searchsorted(distances + min_run.astype(np.int64), np.arange(max_depth + 2), "right")
+            self.power_reach = np.searchsorted(distances + min_run, np.arange(max_depth + 2), "right")
             self.eq_width = int(self.power_reach[max_depth])
         self.transitions = None
         if c.forbidden_factors:

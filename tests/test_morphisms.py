@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from antisquares.morphisms import (
+    _block_matrices,
+    _check_images,
     UNIFORM_LENGTHS,
     VERIFICATION_PARAMS,
     Morphism,
@@ -18,7 +21,7 @@ from antisquares.morphisms import (
     squarefree_ternary_words,
     verify_construction,
 )
-from antisquares.repetitions import PowerBound, satisfies
+from antisquares.repetitions import PowerBound, critical_exponent, satisfies
 from antisquares.words import Word, complement_text, factor_texts
 
 
@@ -236,6 +239,81 @@ def test_image_power_check_edge_lengths(registry):
         image_power_check(m, PowerBound.parse("2"), -1)
     with pytest.raises(ValueError):
         image_power_check(Morphism(("01", "10")), PowerBound.parse("2"), 3)
+
+
+def _matrix_image_power_check(m, bound, t):
+    """The general walk, which compares each block at every period; for a
+    uniform morphism image_power_check reads the same numbers from tables."""
+    return _check_images(m, bound, t, _block_matrices)
+
+
+def _both_walks(m, bound, t):
+    tables = image_power_check(m, bound, t)
+    assert tables == _matrix_image_power_check(m, bound, t), (m.images, str(bound), t)
+    return tables
+
+
+def test_min_violating_runs_match_the_scalar_form():
+    for text in [*IMAGE_BOUNDS, "1+", "38/15+", "17/7"]:
+        bound = PowerBound.parse(text)
+        scalar = [bound.min_violating_run(p) for p in range(1, 5001)]
+        assert bound.min_violating_runs(5000, 10**9).tolist() == scalar, text
+        assert bound.min_violating_runs(5000, 40).tolist() == [min(r, 40) for r in scalar], text
+    # num * p beyond int64 takes the scalar form
+    huge = PowerBound(Fraction(10**17 + 1, 3))
+    assert huge.min_violating_runs(200, 10**6).tolist() == [min(huge.min_violating_run(p), 10**6) for p in range(1, 201)]
+    assert PowerBound.parse("2").min_violating_runs(0, 5).size == 0
+
+
+def test_image_tables_match_matrices_on_random_uniform_morphisms():
+    # bounds at the critical exponent E of the images, where the answer
+    # flips: E-free is broken by the image that reaches E, E+-free holds
+    rng = random.Random(16)
+    for case in range(60):
+        q = rng.randint(1, 200) if case % 3 else rng.randint(1, 12)
+        t = rng.randint(1, min(10, 2 + 400 // q))
+        if rng.random() < 0.5:
+            images = ["".join(rng.choice("01") for _ in range(q)) for _ in range(3)]
+        else:
+            images = [THUE_MORSE[i : i + q] for i in (rng.randrange(256 - q) for _ in range(3))]
+        m = Morphism(tuple(images))
+        top = max(critical_exponent(Word(m.apply_text(u.text)))[0] for u in squarefree_ternary_words(t))
+        assert _both_walks(m, PowerBound(top, forbid_equal=False), t)
+        if top > 1:
+            assert not _both_walks(m, PowerBound(top), t)
+        bound = PowerBound.parse(rng.choice(IMAGE_BOUNDS))
+        _both_walks(m, bound, t)
+
+
+def test_image_tables_match_matrices_on_the_constructions(registry):
+    # the published bound, and the same threshold with its equality case
+    # flipped (17/7 for 17/7+), at the published t
+    for name, params in VERIFICATION_PARAMS.items():
+        m = registry[name].morphism
+        published = PowerBound.parse(params["bound"])
+        assert _both_walks(m, published, params["t"]), name
+        _both_walks(m, PowerBound(published.threshold, not published.forbid_equal), params["t"])
+
+
+def test_image_tables_at_the_image_start_and_one_letter_blocks():
+    # the only cube in the images of the squarefree words of length 2 is 111
+    # at the start of h(21) = 1110: its run begins next to the sentinel
+    # before the image, at depth 0, and ends in the second block
+    m = Morphism(("20", "10", "11"), target_alphabet=3)
+    assert _both_walks(m, PowerBound.parse("3+"), 2)
+    assert not _both_walks(m, PowerBound.parse("3"), 2)
+    # one-letter blocks: the identity's images are the squarefree words; no
+    # factor of one of 7 letters goes above 7/4, and 0102010 reaches it
+    identity = Morphism(("0", "1", "2"), target_alphabet=3)
+    assert _both_walks(identity, PowerBound.parse("2"), 9)
+    assert _both_walks(identity, PowerBound.parse("7/4+"), 7)
+    assert not _both_walks(identity, PowerBound.parse("7/4"), 7)
+    # every uniform morphism with blocks of one or two letters
+    for q in (1, 2):
+        for images in product(["".join(bits) for bits in product("01", repeat=q)], repeat=3):
+            for text in ("2", "2+", "3", "3+"):
+                for t in (1, 2, 4):
+                    _both_walks(Morphism(images), PowerBound.parse(text), t)
 
 
 def test_complement_factor_bound_small(registry):
