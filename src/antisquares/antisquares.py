@@ -8,7 +8,6 @@ is |u|.  A binary word is good if its only antisquare factors are 01 and 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -119,17 +118,19 @@ def has_complementary_pair(texts: Iterable[str], length: int) -> bool:
     texts = list(texts)
     if length > sum(len(t) for t in texts):
         return False
-    return next(islice(_complementary_levels(texts), length - 1, None))
+    return next(_complementary_levels(texts, length))
 
 
-def _complementary_levels(texts: list[str]) -> Iterator[bool]:
-    """has_complementary_pair(texts, L) for L = 1, 2, ... up to the joined
-    length, from one walk of the factor codes."""
+def _complementary_levels(texts: list[str], first: int) -> Iterator[bool]:
+    """has_complementary_pair(texts, L) for L = first, first + 1, ... up to
+    the joined length, from one walk of the factor codes; the levels below
+    first are coded but not tested."""
     lengths = [len(t) for t in texts]
     end = np.repeat(np.cumsum(lengths), lengths)  # of the text that window i starts in
     gap = end - np.arange(len(end))  # letters from window i to the end of its text
     for length, (codes, top) in enumerate(_factor_codes("".join(texts)), 1):
-        yield _paired(codes[gap[: len(codes)] >= length], top)
+        if length >= first:
+            yield _paired(codes[gap[: len(codes)] >= length], top)
 
 
 def complement_pair_bound(text: str) -> int:

@@ -285,7 +285,7 @@ def _check_images(m: Morphism, bound: PowerBound, t: int, step_stats) -> bool:
         return True  # the image of the empty word is empty
     size = t * max(len(im) for im in m.images)
     # no run reaches size, so min_run may stop there
-    min_run = bound.min_violating_runs(size, size).astype(np.int32)
+    min_run = bound.min_violating_runs(size).astype(np.int32)
     # a period p can break the bound only in an image of p + min_run(p)
     # letters or more, and p + min_run(p) grows with p
     reach = int(np.searchsorted(np.arange(1, size + 1) + min_run, size, "right"))
@@ -359,8 +359,8 @@ def complement_factor_bound(m: Morphism) -> int:
         # the window serves the q lengths L with ceil(L/q) + 1 == window, and
         # one walk of the factor codes of its images answers all of them
         first = (window - 2) * q + 1
-        levels = _complementary_levels(_window_images(m, first))
-        for length, paired in enumerate(islice(levels, first - 1, first - 1 + q), first):
+        levels = _complementary_levels(_window_images(m, first), first)
+        for length, paired in enumerate(islice(levels, q), first):
             if not paired:
                 return length - 1
     raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")

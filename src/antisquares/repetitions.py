@@ -69,16 +69,16 @@ class PowerBound:
             s = (num * period) // den + 1
         return max(s - period, 1)
 
-    def min_violating_runs(self, count: int, cap: int) -> np.ndarray:
-        """min(min_violating_run(p), cap) for p = 1 .. count, as an int64
-        array.  A caller whose runs stay below cap compares them the same
-        way with or without the cap, and the cap keeps the values in range."""
+    def min_violating_runs(self, count: int) -> np.ndarray:
+        """min(min_violating_run(p), count) for p = 1 .. count, as an int64
+        array.  A caller whose runs stay below count compares them the same
+        way with or without the clip, and the clip keeps the values in range."""
         num, den = self.threshold.numerator, self.threshold.denominator
         if num * count >= 2**62:  # num * p could overflow int64
-            return np.array([min(self.min_violating_run(p), cap) for p in range(1, count + 1)], dtype=np.int64)
+            return np.array([min(self.min_violating_run(p), count) for p in range(1, count + 1)], dtype=np.int64)
         p = np.arange(1, count + 1, dtype=np.int64)
         s = -(-num * p // den) if self.forbid_equal else num * p // den + 1
-        return np.clip(s - p, 1, cap)
+        return np.clip(s - p, 1, count)
 
 
 @dataclass(frozen=True, slots=True)

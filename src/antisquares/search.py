@@ -302,7 +302,7 @@ class _DFS:
         self.ne_width = max_depth // 2
         if c.power is not None:
             # runs never reach max_depth, so clipping there keeps every comparison
-            min_run = c.power.min_violating_runs(max_depth, max_depth)
+            min_run = c.power.min_violating_runs(max_depth)
             self.eq_edge = (min_run - 1).astype(dtype)  # likewise for the equality runs and the power bound
             # a word of length L can break the bound only at distances p with
             # p + min_run <= L, and p + min_run grows with p: check a prefix,

@@ -210,6 +210,17 @@ def test_reproduce_table_1(capsys):
     assert all(r["pass"] for r in records)
 
 
+def test_reproduce_tables_2_and_5(capsys):
+    # tables 2 and 5 verify the nine uniform constructions, zeta16 included
+    names = []
+    for table in ("2", "5"):
+        code, records, _ = run(capsys, "reproduce-tables", "--table", table)
+        assert code == EXIT_OK
+        assert all(r["pass"] for r in records)
+        names += [r["anchor"] for r in records]
+    assert len(names) == 9 and "Table 5 zeta16" in names
+
+
 def test_reproduce_tables_checkpoint_dir_resumes(tmp_path, capsys):
     ckpt = ["reproduce-tables", "--table", "3", "--checkpoint-dir", str(tmp_path)]
     code, records, _ = run(capsys, *ckpt, "--budget", "500")
