@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import islice
 from typing import Iterator, Optional
@@ -70,16 +71,30 @@ class Morphism:
         im = self.images[letter]
         return len(im) >= 2 and im[0] == str(letter)
 
+    @cached_property
+    def _image_table(self) -> tuple[dict, np.ndarray]:
+        """(a str.translate table that deletes the domain's letters, a uint8
+        table whose row 48 + a holds the image of letter a, padded with
+        0xFF to the longest image)"""
+        table = np.full((48 + len(self.images), max(map(len, self.images))), 0xFF, dtype=np.uint8)
+        for a, image in enumerate(self.images):
+            table[48 + a, : len(image)] = np.frombuffer(image.encode("ascii"), dtype=np.uint8)
+        return dict.fromkeys(range(48, 48 + len(self.images))), table
+
     def apply_text(self, text: str) -> str:
-        images = self.images
-        return "".join(images[ord(c) - 48] for c in text)
+        """The concatenation of the images of the letters of text, gathered
+        from the image table a row per letter, padding dropped.  ValueError
+        names the first letter outside the domain."""
+        domain, table = self._image_table
+        outside = text.translate(domain)
+        if outside:
+            raise ValueError(f"letter {outside[0]!r} outside morphism domain")
+        image = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+        return image[image != 0xFF].tobytes().decode("ascii")
 
 
 def apply(m: Morphism, w: Word) -> Word:
     """Concatenation of the letter images of w."""
-    for a in set(w.text):
-        if ord(a) - 48 >= m.domain_alphabet:
-            raise ValueError(f"letter {a} outside morphism domain")
     return Word(m.apply_text(w.text), m.target_alphabet)
 
 

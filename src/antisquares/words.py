@@ -7,6 +7,8 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 _COMPLEMENT_TABLE = str.maketrans("01", "10")
+# str.translate deletes the letters of each alphabet, and leaves any other
+_LETTERS = {size: dict.fromkeys(range(48, 48 + size)) for size in (2, 3)}
 
 LettersLike = Union[str, "Word", Iterable[int]]
 
@@ -22,18 +24,22 @@ class Word:
     __slots__ = ("text", "alphabet_size", "_arr")
 
     def __init__(self, letters: LettersLike = "", alphabet_size: int = 2):
+        if alphabet_size not in (2, 3):
+            raise ValueError(f"alphabet_size must be 2 or 3, got {alphabet_size}")
         if isinstance(letters, Word):
             text = letters.text
         elif isinstance(letters, str):
             text = letters
         else:
-            text = "".join(str(a) for a in letters)
-        if alphabet_size not in (2, 3):
-            raise ValueError(f"alphabet_size must be 2 or 3, got {alphabet_size}")
-        limit = chr(ord("0") + alphabet_size)
-        for ch in text:
-            if not ("0" <= ch < limit):
-                raise ValueError(f"letter {ch!r} out of range for alphabet size {alphabet_size}")
+            digits = []
+            for a in letters:
+                if a not in range(alphabet_size):
+                    raise ValueError(f"letter {a!r} out of range for alphabet size {alphabet_size}")
+                digits.append("012"[a])
+            text = "".join(digits)
+        outside = text.translate(_LETTERS[alphabet_size])
+        if outside:
+            raise ValueError(f"letter {outside[0]!r} out of range for alphabet size {alphabet_size}")
         self.text = text
         self.alphabet_size = alphabet_size
         self._arr = None

@@ -4,7 +4,7 @@ p = 1..n costs a full-length numpy pass, so they are quadratic, but every
 period is looked at on its own; the tests compare the runs-based answers
 against them word for word.  Beside them, the loops that the runs
 computation and the family analysis of w replaced with array code:
-`lyndon_roots` and `analyze_w_repetitions`.
+`lcp_array`, `lyndon_roots` and `analyze_w_repetitions`.
 """
 
 from __future__ import annotations
@@ -81,6 +81,26 @@ def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
                 out.append(rep)
     out.sort(key=lambda rep: (rep.start, rep.period))
     return out
+
+
+def lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """`repetitions._lcp_array` by the loop of Kasai et al. (CPM 2001) in
+    text order: the suffix before i+1 in rank order shares at least one
+    letter fewer with it than i with its own.  The unique last letter of
+    `text` stops every comparison inside the text."""
+    n = len(text) - 1
+    phi = np.empty(n + 1, dtype=np.int32)  # phi[i]: the suffix ranked just below i
+    phi[sa[1:]] = sa[:-1]
+    plcp = np.zeros(n + 1, dtype=np.int32)
+    h = 0
+    for i in range(n):  # suffix n ('$') ranks first
+        j = int(phi[i])
+        while text[i + h] == text[j + h]:
+            h += 1
+        plcp[i] = h
+        if h:
+            h -= 1
+    return plcp[sa]
 
 
 def lyndon_roots(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,22 @@ def test_apply_domain_check():
     m = Morphism(("01", "11"))
     with pytest.raises(ValueError):
         apply(m, Word("012", 3))
+    # '/' is the byte below '0': it used to map to the last image
+    for text, bad in (("/", "'/'"), ("0102", "'2'"), ("01a", "'a'")):
+        with pytest.raises(ValueError, match=f"letter {bad} outside morphism domain"):
+            m.apply_text(text)
+    assert m.apply_text("") == ""
+
+
+def test_apply_text_matches_the_letter_by_letter_join(registry):
+    # the image table pads images of different lengths; uniform ones fill it
+    rng = random.Random(17)
+    for name, entry in registry.items():
+        m = entry.morphism
+        letters = "012"[: m.domain_alphabet]
+        for n in (0, 1, 2, 7, rng.randrange(10**4), 10**4):
+            text = "".join(rng.choice(letters) for _ in range(n))
+            assert m.apply_text(text) == "".join(m.images[int(a)] for a in text), (name, n)
 
 
 def test_fixed_point_prefix():

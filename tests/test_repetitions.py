@@ -11,6 +11,7 @@ import repetitions_reference as reference
 from antisquares import fibanalysis, morphisms
 from antisquares.repetitions import (
     _BLOCK,
+    _JUMP_MIN,
     PowerBound,
     Repetition,
     _lce,
@@ -300,3 +301,50 @@ def test_lyndon_roots_match_the_loop():
 
 def test_repetition_exponent():
     assert Repetition(3, 4, 10).exponent == Fraction(10, 4)
+
+
+def irreducible_count(text: bytes, sa: np.ndarray) -> int:
+    """Positions i whose suffix and the one ranked just below it, j, do not
+    both follow the same letter (i = 0 or j = 0 included)."""
+    phi = {int(sa[r]): int(sa[r - 1]) for r in range(1, len(sa))}
+    return sum(1 for i, j in phi.items() if i == 0 or j == 0 or text[i - 1] != text[j - 1])
+
+
+def lcp_texts() -> list[str]:
+    """Texts for _lcp_array: the Lyndon-root words and their reversals,
+    one-letter and two-letter periodic words, and random binary prefixes
+    with _JUMP_MIN - 1, _JUMP_MIN and _JUMP_MIN + 1 irreducible positions,
+    which take the comparison rounds (from _JUMP_MIN) or go straight to the
+    galloping compare."""
+    texts = lyndon_words()
+    texts += [t[::-1] for t in texts]
+    for n in (1, 2, 9, 1000, 20000):
+        texts += ["0" * n, "01" * n]
+    rng = random.Random(41)
+    base = "".join(rng.choice("01") for _ in range(2000))
+    wanted = {_JUMP_MIN - 1, _JUMP_MIN, _JUMP_MIN + 1}
+    lo, hi = 1, len(base)  # bisect on the prefix length for about _JUMP_MIN
+    while lo < hi:
+        mid = (lo + hi) // 2
+        text = (base[:mid] + "$").encode("ascii")
+        if irreducible_count(text, _suffix_ranks(text)[1]) < _JUMP_MIN:
+            lo = mid + 1
+        else:
+            hi = mid
+    for n in range(lo - 40, lo + 40):
+        text = (base[:n] + "$").encode("ascii")
+        count = irreducible_count(text, _suffix_ranks(text)[1])
+        if count in wanted:
+            wanted.discard(count)
+            texts.append(base[:n])
+    assert not wanted, wanted
+    return texts
+
+
+def test_lcp_array_matches_the_loop():
+    texts = ["".join(bits) for n in range(1, 13) for bits in product("01", repeat=n)] + lcp_texts()
+    for t in texts:
+        text = (t + "$").encode("ascii")
+        rank, sa = _suffix_ranks(text)
+        got, expect = _lcp_array(text, rank, sa), reference.lcp_array(text, rank, sa)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), (t[:20], len(t))

@@ -29,6 +29,21 @@ def test_alphabet_validation():
     Word("012", 3)  # fine
 
 
+def test_integer_letters_outside_the_alphabet_are_rejected():
+    # [10, 1] used to be joined as decimal strings into "101"
+    for letters, size in (([10, 1], 2), ([0, 2], 2), ([-1], 2), ([3], 3), (["0"], 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(letters, size)
+    assert Word(np.array([2, 0, 1]), 3) == Word("201", 3)
+    assert Word([True, False]) == Word("10")
+
+
+def test_the_error_names_the_first_bad_letter():
+    for text, bad in (("01x2", "'x'"), ("0/1", "'/'"), ("0120", "'2'"), ("01é", "'é'")):
+        with pytest.raises(ValueError, match=bad):
+            Word(text, 2)
+
+
 def test_equality_includes_alphabet():
     assert Word("01", 2) != Word("01", 3)
     assert hash(Word("01", 2)) != hash(Word("01", 3))
