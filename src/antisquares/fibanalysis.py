@@ -7,10 +7,12 @@ words into nested morphism images.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from itertools import starmap
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -137,16 +139,37 @@ class RepetitionFamilyRow:
         )
 
 
+class _Columns(Sequence):
+    """A read-only sequence whose item i is make(*(column[i] for each
+    column)), built on access: len() and the columns cost no object per
+    item."""
+
+    def __init__(self, make: Callable, *columns: np.ndarray):
+        self._make = make
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._make(*(int(column[i]) for column in self._columns))
+
+    def __iter__(self):
+        return starmap(self._make, zip(*(column.tolist() for column in self._columns)))
+
+
 @dataclass
 class RepetitionAnalysis:
-    rows: list[RepetitionFamilyRow]
-    sporadic: list[Repetition]
-    unmatched: list[Repetition]
+    rows: Sequence[RepetitionFamilyRow]
+    sporadic: Sequence[Repetition]
+    unmatched: Sequence[Repetition]
     max_exponent: Fraction
 
     @property
     def ok(self) -> bool:
-        return not self.unmatched
+        return len(self.unmatched) == 0
 
 
 def family_parameters(k: int) -> tuple[int, int, Fraction]:
@@ -169,9 +192,9 @@ def analyze_w_repetitions(prefix_len: int) -> RepetitionAnalysis:
 
     The runs of the prefix are classified as arrays, by integer tests
     alone: exponent >= 3 is length >= 3 period, a period is looked up among
-    the family's, and a family row has length n + p.  Repetition objects
-    are built only for the lists returned, and the rows of one family
-    member share its exponent.
+    the family's, and a family row has length n + p.  The rows, sporadic
+    and unmatched repetitions are sequences over the classified arrays,
+    which build a row or a Repetition only when it is read.
     """
     if prefix_len < 100:
         raise ValueError("prefix_len must be >= 100")
@@ -203,21 +226,20 @@ def _classify(start: np.ndarray, period: np.ndarray, length: np.ndarray, prefix_
     clipped = (start == 0) | (start + length == prefix_len)
     sporadic = np.where(in_family, clipped & (length < full), (period < _SPORADIC_PERIOD_LIMIT) | clipped)
     unmatched = ~(row | sporadic)
-    member = member[row]
-    del in_family, full, clipped  # before the objects, which set the peak memory
     max_exp = Fraction(1)
     if len(start):
         i = int(np.argmax(_exponent_keys(length, period)))
         max_exp = Fraction(int(length[i]), int(period[i]))
-    shared: dict[int, int] = {}  # many repetitions share a period: one int object each
 
     def repetitions(mask):
-        # memoryviews hand out Python ints one at a time
-        reps = zip(memoryview(start[mask]), memoryview(period[mask]), memoryview(length[mask]))
-        return [Repetition(s, shared.setdefault(p, p), n) for s, p, n in reps]
+        return _Columns(Repetition, start[mask], period[mask], length[mask])
 
-    rows = [RepetitionFamilyRow(*members[i], rep) for i, rep in zip(member.tolist(), repetitions(row))]
-    rows.sort(key=lambda r: r.k)
+    # the rows by k, and by (start, period) within one k
+    at = np.flatnonzero(row)[np.argsort(member[row], kind="stable")]
+    rows = _Columns(
+        lambda i, s, p, n: RepetitionFamilyRow(*members[i], Repetition(s, p, n)),
+        member[at], start[at], period[at], length[at],
+    )
     return RepetitionAnalysis(rows, repetitions(sporadic), repetitions(unmatched), max_exp)
 
 

@@ -3,16 +3,18 @@ and the three verification procedures for the uniform ternary-to-binary
 constructions (synchronization, image power-freeness, complement-factor
 bound with antisquare inventory).
 
-The image check walks the tree of squarefree ternary words once,
-appending one image block per node and extending the equality run of every
-period that can still break the bound (see image_power_check); it visits
-only prefixes of words of the requested length, so a violation is counted
-only where some word of that length lies below it.  For a uniform morphism
-a node reads its block's matches at every period from tables built once
-per call, indexed by the two blocks the period reaches back into, the new
-letter and the offset (_block_tables); a morphism with images of different
-lengths compares each new block with the image before it at every period
-(_block_matrices).  Both feed one step that tests and extends the runs.
+The image check walks the tree of squarefree ternary words one level at a
+time, appending one image block per node and extending the equality run of
+every period that can still break the bound (see image_power_check); its
+nodes are the prefixes of the words of the requested length, which the
+search engine lists as one array, so a violation is counted only where
+some word of that length lies below it.  For a uniform morphism a level
+gathers its blocks' matches at every period from tables built once per
+call, indexed by the two blocks the period reaches back into, the new
+letter and the offset (_level_tables); a morphism with images of different
+lengths compares each new block with the image before it at every period,
+one mismatch matrix per new letter (_level_matrices).  Both feed one step
+that tests and extends a whole level's runs.
 
 The complement-factor bound walks the factor codes of each window's images
 once, for all the lengths that window serves.
@@ -28,6 +30,7 @@ to be looked at.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -164,134 +167,192 @@ def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
     """True iff the image of every squarefree ternary word of length t
     satisfies the bound.
 
-    One depth-first walk over the prefixes of those words: a node appends the
-    image block of its last letter and updates, for every period p, the run
-    of positions i with x[i] == x[i-p] that ends the image.  A factor that
-    breaks the bound ends in the block of the first node whose image holds
-    it, where it shows as a run crossing the block start or lying inside the
-    block, so each factor is checked once per tree path, not once per word.
-    The per-depth state is a stack of at most t run vectors, over only the
-    periods p that can break the bound in the longest image, those with
-    p + min_run(p) <= t * (longest block).
+    The walk takes the tree of the prefixes of those words one level at a
+    time.  A node of depth d is a prefix of d + 1 letters: it appends the
+    image block of its last letter to its parent's image and updates, for
+    every period p, the run of positions i with x[i] == x[i-p] that ends the
+    image.  A factor that breaks the bound ends in the block of the first
+    node whose image holds it, where it shows as a run crossing the block
+    start or lying inside the block, so each factor is checked once per
+    tree path, not once per word.  The state is one level's runs, a
+    nodes x periods array over only the periods p that can break the bound
+    in the longest image, those with p + min_run(p) <= t * (longest block),
+    int16 while t * (longest block) < 2**15: for zeta16 at t = 14, 456 nodes
+    x 1,151 periods, 1.05 MB at the deepest level.
 
     A node needs three numbers per period from its block: lead, the matches
     from the block start; trail, the matches back from the block end; and
     inner, the longest run of matches.  It breaks the bound iff
     max(old run + lead, inner) >= min_run at some period, and the new run is
-    old + block where the whole block matches, else trail.  For a uniform
-    morphism they come from block tables built once per call (see
-    _block_tables), a gather per node; a morphism with images of different
-    lengths compares each new block with the image before it at every
-    period (_block_matrices).
+    old + block where the whole block matches, else trail.  A level gets
+    them for all its nodes at once: for a uniform morphism by a gather from
+    block tables built once per call (see _level_tables), for images of
+    different lengths from one mismatch matrix per new letter
+    (_level_matrices).
 
-    The walk follows squarefree_ternary_words(t) leaf by leaf, so it visits
-    only prefixes of words of length t: a prefix that extends to no such word
-    (0102010 is the first) is never visited, and a violation found at any
-    node is one in the image of every word below it.
+    The nodes are the prefixes of the words of length t, which the search
+    engine lists, so a prefix that extends to no such word (0102010 is the
+    first) is never visited, and a violation found at any node is one in
+    the image of every word below it.
     """
-    return _check_images(m, bound, t, _block_tables if m.uniform_length else _block_matrices)
+    return _check_images(m, bound, t, _level_tables if m.uniform_length else _level_matrices)
 
 
-def _match_stats(miss: np.ndarray, inner_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lead, trail, inner) of each row of a mismatch matrix whose columns run
-    from the end of a block back to its start: the matches from the block
-    start, the matches back from the block end (the block length where the
-    whole row matches) and, in the first inner_rows rows, the longest run of
-    matches (0 in the rows after them)."""
+def _match_stats(miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, trail) of each row of a mismatch matrix whose columns run from
+    the end of a block back to its start: the matches from the block start
+    and the matches back from the block end, the block length where the
+    whole row matches."""
     rows, b = miss.shape
     trail = miss.argmax(axis=1).astype(np.int32)
     full = ~miss[np.arange(rows), trail]
     trail[full] = b
     lead = np.where(full, b, miss[:, ::-1].argmax(axis=1)).astype(np.int32)
+    return lead, trail
+
+
+def _longest_matches(miss: np.ndarray) -> np.ndarray:
+    """inner, the longest run of matches in each row of a mismatch matrix."""
+    rows, b = miss.shape
     inner = np.zeros(rows, dtype=np.int32)
-    seg = np.zeros((inner_rows, b + 1), dtype=bool)  # a column of misses keeps runs in their rows
-    np.logical_not(miss[:inner_rows], out=seg[:, :b])
+    seg = np.zeros((rows, b + 1), dtype=bool)  # a column of misses keeps runs in their rows
+    np.logical_not(miss, out=seg[:, :b])
     starts, lengths = _runs_of(seg.ravel())
     if starts.size:
         rows = starts // (b + 1)
         first = np.flatnonzero(np.diff(rows, prepend=-1))  # of each row's runs, which come in order
         inner[rows[first]] = np.maximum.reduceat(lengths, first)
-    return lead, trail, inner
+    return inner
 
 
-def _block_matrices(m: Morphism, t: int, reach: int, min_run: np.ndarray):
-    """The general image walk's block step, for images of any lengths: it
-    compares the new block with the letters p before it for every period p,
-    one row of a periods x block matrix each."""
-    # images are written back to front into one buffer, so that the letters
-    # before position i of the image read forwards from the end of i's block
-    blocks = [np.frombuffer(im[::-1].encode("ascii"), dtype=np.uint8) - 48 for im in m.images]
-    pad = max(len(blk) for blk in blocks) - 1
-    size = t * (pad + 1)
-    # sentinel padding after the image start: x[i - p] with i < p never matches
-    text = np.full(size + pad, 255, dtype=np.uint8)
-    windows = {len(blk): sliding_window_view(text, len(blk)) for blk in blocks}
-    ends = [0] * (t + 1)
+def _level_matrices(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndarray):
+    """The image walk's level step for images of any lengths.  A level's
+    nodes go in three groups, one per new letter and so one block length
+    b, and each group compares its block with the letters p before it at
+    every period p, one row of a (periods x nodes) x b mismatch matrix per
+    node and period."""
+    blocks = [np.frombuffer(im.encode("ascii"), dtype=np.uint8) - 48 for im in m.images]
+    lengths = np.array([len(blk) for blk in blocks])
+    count, t = words.shape
+    ends = np.zeros((count, t + 1), dtype=np.intp)  # ends[i, d]: the length of the image of words[i, :d]
+    np.cumsum(lengths[words], axis=1, out=ends[:, 1:])
+    # each word's image after `size` sentinel letters: x[i - p] with i < p
+    # never matches
+    size = t * int(lengths.max())
+    padded = np.full((3, int(lengths.max())), 255, dtype=np.uint8)
+    for a, blk in enumerate(blocks):
+        padded[a, : len(blk)] = blk
+    letters = padded[words].reshape(count, -1)
+    kept = letters != 255
+    text = np.full((count, 2 * size), 255, dtype=np.uint8)
+    text[np.nonzero(kept)[0], size - 1 + np.cumsum(kept, axis=1)[kept]] = letters[kept]
+    windows = {b: sliding_window_view(text, b, axis=1) for b in set(lengths.tolist())}
 
-    def stats(depth: int, letter: int):
-        blk = blocks[letter]
-        b = len(blk)
-        n = ends[depth]
-        ends[depth + 1] = n + b
-        start = size - n - b
-        text[start : start + b] = blk
-        periods = min(n + b - 1, reach)
-        # row p-1 compares the block, last letter first, with the b letters
-        # p before them; inner is needed only where min_run < b, since
-        # elsewhere only a run of the whole block can break the bound, and
-        # lead counts that one
-        miss = windows[b][start + 1 : start + 1 + periods] != blk
-        return b, *_match_stats(miss, int(np.searchsorted(min_run[:periods], b)))
+    def step(depth: int, rows: np.ndarray):
+        letter = words[rows, depth]
+        n = ends[rows, depth]
+        b = lengths[letter]
+        periods = np.minimum(n + b - 1, reach)
+        width = int(periods.max())
+        lead = np.zeros((len(rows), width), dtype=np.int32)
+        trail = np.zeros_like(lead)
+        inner = np.zeros_like(lead)
+        cut = 0
+        for c, blk in enumerate(blocks):
+            group = np.flatnonzero(letter == c)
+            if not group.size:
+                continue
+            # rows past a node's periods compare its block with sentinels only
+            span = int(periods[group].max())
+            p = np.arange(1, span + 1)[:, None]
+            # [p, g, j] compares x[n + j] with x[n + j - p], last letter first
+            miss = windows[len(blk)][rows[group], size + n[group] - p][:, :, ::-1] != blk[::-1]
+            # inner is needed only where min_run < b, since elsewhere only a
+            # run of the whole block can break the bound, and lead counts that one
+            inner_rows = int(np.searchsorted(min_run[:span], len(blk)))
+            flat = miss.reshape(-1, len(blk))  # rows by period, then node
+            stats = *_match_stats(flat), _longest_matches(flat[: inner_rows * len(group)])
+            for out, got in zip((lead, trail, inner), stats):
+                out[group, : len(got) // len(group)] = got.reshape(-1, len(group)).T
+            cut = max(cut, inner_rows)
+        return b[:, None], lead, trail, inner[:, :cut]
 
-    return stats
+    return step
 
 
-def _block_tables(m: Morphism, t: int, reach: int, min_run: np.ndarray):
-    """The image walk's block step for a q-uniform morphism, by table.
+def _level_tables(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndarray):
+    """The image walk's level step for a q-uniform morphism, by table.
 
     At depth d the new block h(c) starts at n = dq, and a period p = kq + r
     compares it with h(a)h(b)[q - r : 2q - r], where a = u[d-k-1] (a
     sentinel block before the image start) and b = u[d-k], which is c for
     k = 0.  So lead, trail and inner depend only on (a, b, c, r), and are
     built once, one (a, b) context at a time; a == b is a square, which the
-    walk never meets.  A step gathers its periods' rows of the tables by the
-    context codes 3a + b, which are kept back to front so that depth d reads
-    k = 0 .. d forwards.
+    walk never meets.  A level gathers its nodes' rows of the tables by the
+    codes 12c + 3a + b, whose contexts 3a + b are kept back to front so
+    that depth d reads k = 0 .. d forwards.  inner is gathered only at the
+    periods where min_run < q: elsewhere only a run of the whole block can
+    break the bound, and lead counts that one.
     """
     q = m.uniform_length
     blocks = np.array([np.frombuffer(im.encode("ascii"), dtype=np.uint8) - 48 for im in m.images])
     sentinel = np.full(q, 255, dtype=np.uint8)
-    # tables[s][c, 3a + b, r] for s = lead, trail, inner
-    tables = np.zeros((3, 3, 12, q), dtype=np.int32)
+    inner_periods = int(np.searchsorted(min_run, q))
+    # tables[s, 12c + 3a + b, r] for s = lead, trail, inner; inner only at
+    # the periods kq + r up to inner_periods, which lie in the first block
+    # (k = 0, so b == c) unless inner_periods >= q
+    tables = np.zeros((3, 36, q), dtype=np.min_scalar_type(q))
+    inner_rows = min(q, inner_periods + 1)
     for a in range(4):
         for b in range(3):
             if a == b:
                 continue
             seg = np.concatenate((blocks[a] if a < 3 else sentinel, blocks[b]))
             shifted = sliding_window_view(seg, q)[q - np.arange(q)]  # row r: seg[q - r : 2q - r]
-            miss = shifted[None] != blocks[:, None]  # (c, r, j), j from the block start
-            stats = _match_stats(miss[:, :, ::-1].reshape(3 * q, q), 3 * q)
-            tables[:, :, 3 * a + b] = np.reshape(stats, (3, 3, q))
+            miss = shifted[None, :, ::-1] != blocks[:, None, ::-1]  # (c, r, j), j from the block end
+            rows = slice(3 * a + b, None, 12)  # c = 0, 1, 2
+            tables[:2, rows] = np.reshape(_match_stats(miss.reshape(3 * q, q)), (2, 3, q))
+            for c in range(3) if inner_periods >= q else [b]:
+                tables[2, 12 * c + 3 * a + b, :inner_rows] = _longest_matches(miss[c, :inner_rows])
     lead, trail, inner = tables
-    context = np.zeros(t, dtype=np.intp)
-    word = [3] * (t + 1)  # word[d + 1] = u[d]; word[0] is the sentinel
+    t = words.shape[1]
+    letters = words.astype(np.intp)
+    before = np.full_like(letters, 3)  # the sentinel before the first letter
+    before[:, 1:] = letters[:, :-1]
+    contexts = (3 * before + letters)[:, ::-1]  # column t - 1 - j: 3u[j-1] + u[j]
 
-    def stats(depth: int, letter: int):
-        word[depth + 1] = letter
-        at = t - 1 - depth
-        context[at] = 3 * word[depth] + letter
+    def step(depth: int, rows: np.ndarray):
         periods = min(depth * q + q - 1, reach)
-        ctx = context[at : at + periods // q + 1]  # k = 0 .. periods // q
-        return q, *(table[letter][ctx].ravel()[1 : periods + 1] for table in (lead, trail, inner))
+        at = t - 1 - depth
+        codes = contexts[rows, at : at + periods // q + 1]  # k = 0 .. periods // q
+        codes += 12 * letters[rows, depth, None]
+        cut = min(periods, inner_periods)
+        lead_trail_inner = [
+            table[codes[:, : span // q + 1]].reshape(len(rows), -1)[:, 1 : span + 1]
+            for table, span in ((lead, periods), (trail, periods), (inner, cut))
+        ]
+        return q, *lead_trail_inner
 
-    return stats
+    return step
 
 
-def _check_images(m: Morphism, bound: PowerBound, t: int, step_stats) -> bool:
-    """image_power_check's walk, with the block step that
-    step_stats(m, t, reach, min_run) returns: stats(depth, letter) appends the
-    block of the letter at that depth and gives its length and its lead,
-    trail and inner at the periods 1, 2, ... of the new image, up to reach."""
+def _squarefree_word_array(length: int) -> np.ndarray:
+    """The squarefree ternary words of the given length >= 1 as the rows of
+    one uint8 array, lexicographically, from one walk of the search engine."""
+    parts: list[np.ndarray] = []
+    _DFS(_SQUAREFREE, length, sys.maxsize).run(lambda letters: parts.append(np.ascontiguousarray(letters)))
+    return np.concatenate(parts)
+
+
+def _check_images(m: Morphism, bound: PowerBound, t: int, level_steps) -> bool:
+    """image_power_check's walk, with the level step that
+    level_steps(m, words, reach, min_run) returns for the words of length t:
+    step(depth, rows) appends the blocks of the letters words[rows, depth]
+    to the images of the depth-d nodes, which start at those rows, and gives
+    the block lengths (one for all, or a column) and the nodes' lead and
+    trail at the periods 1, 2, ... of the longest new image, up to reach,
+    and their inner at a first part of those periods that holds every one
+    with min_run below the block length; all zero past a node's own image."""
     if m.domain_alphabet != 3:
         raise ValueError("image_power_check expects a ternary-domain morphism")
     if t < 0:
@@ -299,39 +360,39 @@ def _check_images(m: Morphism, bound: PowerBound, t: int, step_stats) -> bool:
     if t == 0:
         return True  # the image of the empty word is empty
     size = t * max(len(im) for im in m.images)
-    # no run reaches size, so min_run may stop there
-    min_run = bound.min_violating_runs(size).astype(np.int32)
+    # no run reaches size, so min_run may stop there and runs fit in dtype
+    dtype = np.int16 if size < 2**15 else np.int32
+    min_run = bound.min_violating_runs(size)
     # a period p can break the bound only in an image of p + min_run(p)
     # letters or more, and p + min_run(p) grows with p
     reach = int(np.searchsorted(np.arange(1, size + 1) + min_run, size, "right"))
-    min_run = min_run[:reach]
-    stats = step_stats(m, t, reach, min_run)
-    # row d: the run ending the depth-d image at each period, zero past the
-    # periods of that image
-    runs = np.zeros((t + 1, reach), dtype=np.int32)
-
-    def push(depth: int, letter: int) -> bool:
-        b, lead, trail, inner = stats(depth, letter)
-        periods = len(lead)
-        old = runs[depth, :periods]
+    min_run = min_run[:reach].astype(dtype)
+    words = _squarefree_word_array(t)
+    # the first letter where each word differs from the one before it: a
+    # depth-d node starts at each row where that is at most d
+    differs = np.zeros(len(words), dtype=np.intp)
+    differs[1:] = (words[1:] != words[:-1]).argmax(axis=1)
+    step = level_steps(m, words, reach, min_run)
+    # the runs ending each node's image at each period, zero past the
+    # periods of that image; the empty word's image has none
+    runs = np.zeros((1, 0), dtype=dtype)
+    above = np.zeros(1, dtype=np.intp)
+    for depth in range(t):
+        rows = np.flatnonzero(differs <= depth)
+        old = runs[np.searchsorted(above, rows, "right") - 1]
+        b, lead, trail, inner = step(depth, rows)
+        width, cut = old.shape[1], inner.shape[1]
         # a run through the block start continues the run that ended the
-        # previous image
-        if (np.maximum(old + lead, inner) >= min_run[:periods]).any():
+        # parent's image
+        hit = lead.astype(dtype)
+        hit[:, :width] += old
+        np.maximum(hit[:, :cut], inner, out=hit[:, :cut])
+        if (hit >= min_run[: hit.shape[1]]).any():
             return False
-        new = runs[depth + 1]
-        new[:periods] = np.where(trail == b, old + b, trail)
-        new[periods:] = 0
-        return True
-
-    prev = ""
-    for u in squarefree_ternary_words(t):
-        depth = 0
-        while depth < len(prev) and prev[depth] == u.text[depth]:
-            depth += 1
-        for depth in range(depth, t):
-            if not push(depth, ord(u.text[depth]) - 48):
-                return False
-        prev = u.text
+        del hit
+        runs = trail.astype(dtype)
+        np.add(runs[:, :width], old, out=runs[:, :width], where=trail[:, :width] == b)
+        above = rows
     return True
 
 

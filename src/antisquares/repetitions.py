@@ -157,15 +157,21 @@ _CODES = bytes.maketrans(b"$012", b"\x00\x01\x02\x03")
 
 
 def _suffix_ranks(text: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, suffix array) of `text` as int32 arrays, by prefix doubling.
+    """(rank, suffix array) of `text` as int32 arrays, by prefix doubling
+    (Manber and Myers, "Suffix arrays", SIAM J. Comput. 22, 1993) with as
+    many ranks per key as fit.
 
     `text` is over "$012" and ends with its only '$', so that all suffixes
     differ.  The first round sorts the suffixes by their first 16 letters,
     2 bits each, with '$' and the space past the end both 0: a window that
-    reaches '$' ends there.  Round h then sorts them by the pair (rank of
-    the first h letters, rank of the next h), 0 past the end.  The sort key
-    packs a round's value and the position into one int64, which caps the
-    text at 2**21 - 1 letters.
+    reaches '$' ends there.  After a round that sorted them by their first h
+    letters into g groups, ranked 1 .. g and 0 past the end, the next sorts
+    them by the j ranks of the h letters at i, i + h, ..., i + (j-1)h,
+    each in g.bit_length() bits, for the largest j >= 2 that fits beside
+    the position, and so by their first jh letters.  The sort key packs a
+    round's value and the position into one int64, which caps the text at
+    2**21 - 1 letters.  On w at 10**5 letters that is 8 rounds, where
+    doubling takes 13.
     """
     n = len(text)
     bits = n.bit_length()
@@ -193,14 +199,18 @@ def _suffix_ranks(text: bytes) -> tuple[np.ndarray, np.ndarray]:
         del new_value
         np.add.accumulate(dense, out=dense)
         rank[sa] = dense
+        groups = int(dense[-1])
         del key, dense
-        if rank[sa[-1]] == n:
+        if groups == n:
             rank -= 1
             return rank, sa
+        width = groups.bit_length()
+        j = max(2, (63 - bits) // width)
         key = rank.astype(np.int64)
-        key <<= bits
-        key[:-h] |= rank[h:]
-        h *= 2
+        for i in range(1, j):
+            key <<= width
+            key[: max(n - i * h, 0)] |= rank[i * h :]
+        h *= j
 
 
 _BLOCK = 1 << 14  # pairs, queries and table entries per numpy call

@@ -4,11 +4,13 @@ p = 1..n costs a full-length numpy pass, so they are quadratic, but every
 period is looked at on its own; the tests compare the runs-based answers
 against them word for word.  Beside them, the loops that the runs
 computation and the family analysis of w replaced with array code:
-`lcp_array`, `lyndon_roots` and `analyze_w_repetitions`.
+`lcp_array`, `lyndon_roots` and `analyze_w_repetitions`, and the suffix
+order by sorting the suffixes themselves, `sorted_suffixes`.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +83,23 @@ def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
                 out.append(rep)
     out.sort(key=lambda rep: (rep.start, rep.period))
     return out
+
+
+def sorted_suffixes(text: bytes) -> tuple[list[int], list[int]]:
+    """(suffix array, LCP of each suffix with the one before it) of `text`,
+    whose last letter occurs nowhere else, by sorting the suffixes by their
+    first L letters for the first L in 16, 64, 256, ... that tells them
+    all apart: then no two share L letters, and their L-letter prefixes are
+    in the order of the suffixes."""
+    n = len(text)
+    length = 16
+    while True:
+        sa = sorted(range(n), key=lambda i: text[i : i + length])
+        prefixes = [text[i : i + length] for i in sa]
+        if all(a != b for a, b in zip(prefixes, prefixes[1:])):
+            lcp = [len(os.path.commonprefix([a, b])) for a, b in zip(prefixes, prefixes[1:])]
+            return sa, [0, *lcp]
+        length *= 4
 
 
 def lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:

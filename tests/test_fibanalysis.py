@@ -95,13 +95,25 @@ def test_analyze_small_prefix():
     assert fa.is_below_two_plus_alpha(ana.max_exponent)
 
 
+def _assert_same_analysis(got, expect):
+    """got's rows, sporadic and unmatched repetitions, read by iteration and
+    by index, are expect's lists."""
+    for name in ("rows", "sporadic", "unmatched"):
+        items, want = getattr(got, name), getattr(expect, name)
+        assert len(items) == len(want), name
+        assert list(items) == want, name
+        assert [items[i] for i in range(-len(items), len(items))] == want + want, name
+        assert items[1:7:2] == want[1:7:2], name
+        with pytest.raises(IndexError):
+            items[len(want)]
+    assert got.max_exponent == expect.max_exponent
+    assert got.ok == expect.ok
+
+
 @pytest.mark.parametrize("prefix_len", [3000, 20_000])
 def test_analyze_matches_the_loop(prefix_len):
     got, expect = fa.analyze_w_repetitions(prefix_len), reference.analyze_w_repetitions(prefix_len)
-    assert got.rows == expect.rows
-    assert got.sporadic == expect.sporadic
-    assert got.unmatched == expect.unmatched
-    assert got.max_exponent == expect.max_exponent
+    _assert_same_analysis(got, expect)
     assert got.rows and got.sporadic
 
 
@@ -124,10 +136,7 @@ def test_classification_matches_the_loop_on_every_branch():
     reps = sorted(rep for rep in reps if rep[2] >= 3 * rep[1])
     got = fa._classify(*(np.array(c, dtype=np.int32) for c in zip(*reps)), prefix_len)
     expect = reference.classify([Repetition(*r) for r in reps], prefix_len)
-    assert got.rows == expect.rows
-    assert got.sporadic == expect.sporadic
-    assert got.unmatched == expect.unmatched
-    assert got.max_exponent == expect.max_exponent
+    _assert_same_analysis(got, expect)
     assert got.rows and got.sporadic and got.unmatched
 
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from antisquares.morphisms import (
-    _block_matrices,
     _check_images,
+    _level_matrices,
+    _level_tables,
+    _squarefree_word_array,
     UNIFORM_LENGTHS,
     VERIFICATION_PARAMS,
     Morphism,
@@ -248,6 +251,39 @@ def test_image_power_check_skips_dead_end_prefixes():
     assert _reference_image_power_check(m, bound, 8)
 
 
+def test_image_walk_with_three_block_lengths_in_one_level():
+    # every level past the first has nodes ending in each letter, so each
+    # takes all three block lengths, and nodes of one new letter have
+    # images of different lengths before it
+    assert all({u.text[d] for u in squarefree_ternary_words(6)} == set("012") for d in range(6))
+    answers = []
+    for images in (("0", "01", "011"), ("011", "0", "01"), ("1", "010", "00110")):
+        m = Morphism(images)
+        for text in IMAGE_BOUNDS:
+            bound = PowerBound.parse(text)
+            for t in (2, 4, 6):
+                expected = _reference_image_power_check(m, bound, t)
+                assert image_power_check(m, bound, t) == expected, (images, text, t)
+                answers.append(expected)
+    assert 10 <= sum(answers) <= len(answers) - 10
+
+
+def test_image_walk_finds_a_violation_in_the_last_word_only():
+    # 212 is the last squarefree ternary word of length 3, and its sibling
+    # 210 shares the node 21, so the violation shows only at the last node
+    # of the deepest level: h(212) = 101111101 holds 1^5, and
+    # 010·1·010 is a 7/2-power, while no other image reaches either
+    words = [u.text for u in squarefree_ternary_words(3)]
+    assert words[-2:] == ["210", "212"]
+    for images, text in ((("000", "111", "101"), "5"), (("0", "1", "010"), "3+")):
+        m, bound = Morphism(images), PowerBound.parse(text)
+        assert [u for u in words if not satisfies(apply(m, Word(u, 3)), bound)[0]] == ["212"]
+        assert not _reference_image_power_check(m, bound, 3)
+        assert not image_power_check(m, bound, 3)
+        assert image_power_check(m, bound, 2)
+    assert not _matrix_image_power_check(Morphism(("000", "111", "101")), PowerBound.parse("5"), 3)
+
+
 def test_image_power_check_edge_lengths(registry):
     m = registry["zeta3"].morphism
     assert image_power_check(m, PowerBound.parse("2"), 0)
@@ -260,7 +296,7 @@ def test_image_power_check_edge_lengths(registry):
 def _matrix_image_power_check(m, bound, t):
     """The general walk, which compares each block at every period; for a
     uniform morphism image_power_check reads the same numbers from tables."""
-    return _check_images(m, bound, t, _block_matrices)
+    return _check_images(m, bound, t, _level_matrices)
 
 
 def _both_walks(m, bound, t):
@@ -309,6 +345,36 @@ def test_image_tables_match_matrices_on_the_constructions(registry):
         published = PowerBound.parse(params["bound"])
         assert _both_walks(m, published, params["t"]), name
         _both_walks(m, PowerBound(published.threshold, not published.forbid_equal), params["t"])
+
+
+def test_level_tables_give_the_numbers_of_the_level_matrices():
+    # level by level, at every period of the longest image; below 2 a run
+    # inside a block can break the bound at periods past the first block,
+    # which the walk's answers alone rarely show
+    rng = random.Random(18)
+    below_two = 0
+    for case in range(60):
+        q, t = rng.randint(1, 30), rng.randint(1, 6)
+        alphabet = rng.choice(["01", "012"])
+        m = Morphism(tuple("".join(rng.choice(alphabet) for _ in range(q)) for _ in range(3)), 3)
+        bound = PowerBound.parse(rng.choice(["5/4", "3/2+", "7/4", "2", "5/2+", "3"]))
+        size = t * q
+        reach = max(size - 1, 1)
+        min_run = bound.min_violating_runs(size)[:reach].astype(np.int16)
+        words = _squarefree_word_array(t)
+        tables, matrices = (steps(m, words, reach, min_run) for steps in (_level_tables, _level_matrices))
+        rows = np.arange(len(words))
+        for depth in range(t):
+            q_tables, *got = tables(depth, rows)
+            q_matrices, *want = matrices(depth, rows)
+            assert q_tables == q and (q_matrices == q).all()
+            for name, g, w in zip(("lead", "trail"), got, want):
+                assert np.array_equal(g, w), (m.images, str(bound), t, depth, name)
+            cut = int(np.searchsorted(min_run[: got[0].shape[1]], q))
+            assert got[2].shape[1] >= cut and want[2].shape[1] >= cut
+            assert np.array_equal(got[2][:, :cut], want[2][:, :cut]), (m.images, str(bound), t, depth)
+            below_two += cut > q
+    assert below_two >= 20
 
 
 def test_image_tables_at_the_image_start_and_one_letter_blocks():

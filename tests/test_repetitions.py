@@ -270,6 +270,53 @@ def test_suffix_structures_span_several_blocks():
     assert _lce(rank, lcp.copy(), a, b).tolist() == expect
 
 
+def suffix_texts() -> list[str]:
+    """Texts for _suffix_ranks: every word over "012" of up to 8 letters,
+    which one round sorts; 0^n, (01)^n, w, reversed w, the Fibonacci word
+    and Thue-Morse, whose few distinct factors take many letters per key;
+    random binary and ternary words, whose many groups take 2 or 3; and a
+    random 60-letter block repeated, whose 76 groups after the first round
+    take 7."""
+    texts = ["".join(letters) for n in range(9) for letters in product("012", repeat=n)]
+    thue_morse = "".join(str(bin(i).count("1") % 2) for i in range(3000))
+    for n in (40, 300, 600, 1200, 3000):
+        w = fibanalysis.word_w_prefix(n).text
+        texts += ["0" * n, "01" * (n // 2), w, w[::-1], fibanalysis.fibonacci_word_prefix(n).text, thue_morse[:n]]
+    rng = random.Random(18)
+    for n in (300, 600, 1200, 5000, 40000):
+        texts += ["".join(rng.choice(alphabet) for _ in range(n)) for alphabet in ("01", "012")]
+    texts.append("".join(rng.choice("01") for _ in range(60)) * 20)
+    return texts
+
+
+def packing_rounds(n: int, lcp: list[int]) -> list[int]:
+    """The ranks per key of each round of _suffix_ranks after the first on a
+    text of n letters with these LCPs: a round that sorts the suffixes by
+    h letters leaves 1 + #{lcp < h} groups, and the next packs j ranks of
+    that many bits beside the position."""
+    bits = n.bit_length()
+    h, js = 16, []
+    while (groups := 1 + sum(1 for x in lcp[1:] if x < h)) < n:
+        js.append(max(2, (63 - bits) // groups.bit_length()))
+        h *= js[-1]
+    return js
+
+
+def test_suffix_ranks_match_sorted_suffixes():
+    seen = set()
+    for t in suffix_texts():
+        text = (t + "$").encode("ascii")
+        rank, sa = _suffix_ranks(text)
+        expect, lcp = reference.sorted_suffixes(text)
+        assert rank.dtype == sa.dtype == np.int32, t[:20]
+        assert sa.tolist() == expect, (t[:20], len(t))
+        assert (rank[sa] == np.arange(len(text))).all(), (t[:20], len(t))
+        seen.update(packing_rounds(len(text), lcp))
+    # a round at each number of ranks per key from 2 to the largest reached
+    assert seen == set(range(2, max(seen) + 1)), sorted(seen)
+    assert max(seen) == 11
+
+
 def lyndon_words() -> list[str]:
     """Words whose pointer chains are long or uneven: 0·1^k·0 needs k
     jumping rounds for its first position, 1^k retires nothing under the
