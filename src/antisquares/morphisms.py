@@ -231,18 +231,15 @@ def _level_matrices(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndar
     b, and each group compares its block with the letters p before it at
     every period p, one row of a (periods x nodes) x b mismatch matrix per
     node and period."""
-    blocks = [np.frombuffer(im.encode("ascii"), dtype=np.uint8) - 48 for im in m.images]
+    blocks = [np.frombuffer(im.encode("ascii"), dtype=np.uint8) for im in m.images]
     lengths = np.array([len(blk) for blk in blocks])
     count, t = words.shape
     ends = np.zeros((count, t + 1), dtype=np.intp)  # ends[i, d]: the length of the image of words[i, :d]
     np.cumsum(lengths[words], axis=1, out=ends[:, 1:])
-    # each word's image after `size` sentinel letters: x[i - p] with i < p
-    # never matches
+    # each word's image, in ASCII codes, after `size` sentinel letters:
+    # x[i - p] with i < p never matches
     size = t * int(lengths.max())
-    padded = np.full((3, int(lengths.max())), 255, dtype=np.uint8)
-    for a, blk in enumerate(blocks):
-        padded[a, : len(blk)] = blk
-    letters = padded[words].reshape(count, -1)
+    letters = m._image_table[1][48 + words].reshape(count, -1)
     kept = letters != 255
     text = np.full((count, 2 * size), 255, dtype=np.uint8)
     text[np.nonzero(kept)[0], size - 1 + np.cumsum(kept, axis=1)[kept]] = letters[kept]
