@@ -8,7 +8,8 @@ is |u|.  A binary word is good if its only antisquare factors are 01 and 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import takewhile
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -57,13 +58,16 @@ def antisquare_order(w: Word) -> int:
     return len(w) // 2 if is_antisquare(w) else 0
 
 
-_BLOCK = 1 << 14  # codes per numpy call in _paired and inventory
+_BLOCK = 1 << 14  # codes per numpy call in _paired and _inventory
 
 
-def _factor_codes(text: str) -> Iterator[tuple[np.ndarray, int]]:
-    """(codes, top) for the factors of length L = 1, 2, ... of a binary
-    text, up to its length: codes[i] is the code of text[i : i+L].  Each
-    level overwrites the codes of the one before.
+def _factor_codes(texts: list[str]) -> Iterator[tuple[np.ndarray, int, Optional[np.ndarray]]]:
+    """(codes, top, room) for the factors of length L = 1, 2, ... of the
+    binary texts joined, up to the longest text: codes[i] is the code of the
+    factor of length L at letter i, and room[i] the letters from i to the
+    end of its text (None for one text), so the windows that cross a text
+    end are those with room[i] < L.  Each level overwrites the codes of the
+    one before.
 
     Equal factors get equal codes, codes order factors lexicographically,
     and the complement of the factor with code c has code top - c.  The
@@ -76,12 +80,14 @@ def _factor_codes(text: str) -> Iterator[tuple[np.ndarray, int]]:
     exact at any L.  So top stays below 4 (length + 1), and int32 codes do
     for texts of up to 2**28 letters.
     """
+    text, lengths = "".join(texts), [len(t) for t in texts]
     letters = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - 48
     if letters.size and letters.max() > 1:
         raise ValueError("complementary factors are only defined for binary texts")
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(text)) if len(texts) > 1 else None
     dtype = np.int32 if len(text) < 2**28 else np.int64
     codes, top = letters.astype(dtype), 1
-    for level in range(1, len(text) + 1):
+    for level in range(1, max(lengths, default=0) + 1):
         if level > 1:
             if top > 2 * len(text):
                 table = np.concatenate((codes, top - codes))
@@ -94,7 +100,12 @@ def _factor_codes(text: str) -> Iterator[tuple[np.ndarray, int]]:
             codes <<= 1
             codes |= letters[level - 1 :]
             top = 2 * top + 1
-        yield codes, top
+        yield codes, top, room
+
+
+def _inside(codes: np.ndarray, room: Optional[np.ndarray], length: int) -> np.ndarray:
+    """The codes of `_factor_codes` of the windows inside one text."""
+    return codes if room is None else codes[room[: len(codes)] >= length]
 
 
 def _paired(codes: np.ndarray, top: int) -> bool:
@@ -115,22 +126,16 @@ def has_complementary_pair(texts: Iterable[str], length: int) -> bool:
     """
     if length < 1:
         raise ValueError(f"a factor length must be >= 1, got {length}")
-    texts = list(texts)
-    if length > sum(len(t) for t in texts):
-        return False
-    return next(_complementary_levels(texts, length))
+    return next(_complementary_levels(list(texts), length), False)
 
 
 def _complementary_levels(texts: list[str], first: int) -> Iterator[bool]:
     """has_complementary_pair(texts, L) for L = first, first + 1, ... up to
-    the joined length, from one walk of the factor codes; the levels below
+    the longest text, from one walk of the factor codes; the levels below
     first are coded but not tested."""
-    lengths = [len(t) for t in texts]
-    end = np.repeat(np.cumsum(lengths), lengths)  # of the text that window i starts in
-    gap = end - np.arange(len(end))  # letters from window i to the end of its text
-    for length, (codes, top) in enumerate(_factor_codes("".join(texts)), 1):
+    for length, (codes, top, room) in enumerate(_factor_codes(texts), 1):
         if length >= first:
-            yield _paired(codes[gap[: len(codes)] >= length], top)
+            yield _paired(_inside(codes, room, length), top)
 
 
 def complement_pair_bound(text: str) -> int:
@@ -140,12 +145,7 @@ def complement_pair_bound(text: str) -> int:
     If v and ~v are factors then so are their length-(L-1) prefixes, so the
     property is monotone and the scan can stop at the first empty level.
     """
-    m = 0
-    for codes, top in _factor_codes(text):
-        if not _paired(codes, top):
-            break
-        m += 1
-    return m
+    return sum(1 for _ in takewhile(bool, _complementary_levels([text], 1)))
 
 
 def inventory(w: Word) -> AntisquareInventory:
@@ -153,24 +153,37 @@ def inventory(w: Word) -> AntisquareInventory:
 
     An antisquare of order k makes its two halves a complementary factor
     pair, so orders stop at complement_pair_bound, which keeps the scan
-    fast on long structured words.  At order k the antisquares start where
-    the code of the second half is the complement of the first half's, and
-    the distinct first-half codes tell the distinct antisquares apart, so
-    one text is sliced for each.
+    fast on long structured words.  This is _inventory of the one text: the
+    walk that leaves out antisquares crossing a text end has none to leave
+    out here, and skips that test.
     """
     if w.alphabet_size != 2:
         raise ValueError("antisquare inventory is only defined for binary words")
-    text = w.text
+    return _inventory([w.text])
+
+
+def _inventory(texts: list[str]) -> AntisquareInventory:
+    """The distinct antisquares that lie inside one of the binary texts;
+    one that crosses from one text into the next is not kept.
+
+    At order k the antisquares start where the code of the second half is
+    the complement of the first half's, and the distinct first-half codes
+    tell the distinct antisquares apart, so one text is sliced for each.
+    The walk stops at the first order with no complementary pair.
+    """
+    text = "".join(texts)
     found: set[Word] = set()
-    for order, (codes, top) in enumerate(_factor_codes(text), 1):
-        if 2 * order > len(text) or not _paired(codes, top):
+    for order, (codes, top, room) in enumerate(_factor_codes(texts), 1):
+        if not _paired(_inside(codes, room, order), top):
             break
         starts = len(codes) - order
         for x in range(0, starts, _BLOCK):  # a block at a time bounds the temporaries
             halves = codes[x : min(x + _BLOCK, starts)]
-            hit = (codes[x + order : x + order + len(halves)] == top - halves).nonzero()[0]
-            _, first = np.unique(halves[hit], return_index=True)
-            found.update(Word(text[s : s + 2 * order], 2) for s in (hit[first] + x).tolist())
+            hit = (codes[x + order : x + order + len(halves)] == top - halves).nonzero()[0] + x
+            if room is not None:
+                hit = hit[room[hit] >= 2 * order]
+            _, first = np.unique(codes[hit], return_index=True)
+            found.update(Word(text[s : s + 2 * order], 2) for s in hit[first].tolist())
     return AntisquareInventory(found)
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 
 from . import fibanalysis, morphisms, search
 from .antisquares import MinimalAntisquareTable, characterized_minimal, inventory, minimal_antisquares
@@ -224,11 +225,13 @@ def cmd_fib_report(args) -> int:
     inv = inventory(fibanalysis.word_w_prefix(n))
     ana = fibanalysis.analyze_w_repetitions(n)
     gap = 2 + (1 + 5**0.5) / 2 - float(ana.max_exponent)  # display only; PASS is decided exactly
+    # the rows come sorted by k, and the rows of one k differ only in their witness
+    firsts = [next(rows) for _, rows in groupby(ana.rows, key=lambda r: r.k)]
     _emit(
         {
             "prefix_len": n,
             "antisquares": sorted(a.text for a in inv.distinct),
-            "family_rows": sorted({(r.k, r.n, r.p, f"{r.exponent.numerator}/{r.exponent.denominator}") for r in ana.rows}),
+            "family_rows": [(r.k, r.n, r.p, f"{r.exponent.numerator}/{r.exponent.denominator}") for r in firsts],
             "sporadic": len(ana.sporadic),
             "unmatched": len(ana.unmatched),
             "max_exponent": f"{ana.max_exponent.numerator}/{ana.max_exponent.denominator}",
@@ -236,7 +239,7 @@ def cmd_fib_report(args) -> int:
         }
     )
     print("# k\tn\tp\texponent\tdecimal\tzeckendorf(p)")
-    for row in sorted({r.k: r for r in ana.rows}.values(), key=lambda r: r.k):
+    for row in firsts:
         print("# " + row.tsv())
     below = fibanalysis.is_below_two_plus_alpha(ana.max_exponent)
     ok = ana.ok and set(a.text for a in inv.distinct) <= {"01", "10"} and below

@@ -16,8 +16,10 @@ lengths compares each new block with the image before it at every period,
 one mismatch matrix per new letter (_level_matrices).  Both feed one step
 that tests and extends a whole level's runs.
 
-The complement-factor bound walks the factor codes of each window's images
-once, for all the lengths that window serves.
+The image check, the complement-factor bound and the antisquare inventory
+read the squarefree ternary words of a length from one cached array.  The
+bound and the inventory each walk the factor codes of a window's images
+once, all images together, leaving out factors that cross an image end.
 
 The bound and the inventory rest on the window lemma: for a q-uniform
 morphism h, every factor of length L of h(u), with u squarefree and
@@ -32,17 +34,17 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .antisquares import AntisquareInventory, _complementary_levels, inventory
+from .antisquares import AntisquareInventory, _complementary_levels, _inventory
 from .repetitions import PowerBound, _runs_of
-from .search import ConstraintSet, _DFS, _texts
+from .search import ConstraintSet, _DFS
 from .words import Word
 
 
@@ -135,32 +137,6 @@ def is_synchronizing(m: Morphism) -> bool:
 
 
 _SQUAREFREE = ConstraintSet(power=PowerBound.parse("2"), alphabet_size=3)
-_SLICE = 4096  # nodes of the tree walked between two batches of words
-
-
-def squarefree_ternary_words(length: int) -> Iterator[Word]:
-    """All squarefree ternary words of the given length, lexicographically.
-
-    The search engine walks their tree _SLICE nodes at a time and hands on
-    each slice's words before it walks the next: there are exponentially
-    many, and a caller that takes the first few walks little more.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length == 0:
-        yield Word("", 3)
-        return
-    dfs = _DFS(_SQUAREFREE, length, 0)
-    found: list[Word] = []
-
-    def on_leaf(letters: np.ndarray) -> None:
-        found.extend(Word(text, 3) for text in _texts(letters))
-
-    while dfs.stack:  # run() leaves blocks on the stack when its budget ends
-        dfs.budget += _SLICE
-        dfs.run(on_leaf)
-        yield from found
-        found.clear()
 
 
 def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
@@ -333,12 +309,16 @@ def _level_tables(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndarra
     return step
 
 
+@lru_cache(maxsize=32)
 def _squarefree_word_array(length: int) -> np.ndarray:
     """The squarefree ternary words of the given length >= 1 as the rows of
-    one uint8 array, lexicographically, from one walk of the search engine."""
+    one uint8 array, lexicographically, from one walk of the search engine;
+    read-only, as it is kept for the rest of the process."""
     parts: list[np.ndarray] = []
     _DFS(_SQUAREFREE, length, sys.maxsize).run(lambda letters: parts.append(np.ascontiguousarray(letters)))
-    return np.concatenate(parts)
+    words = np.concatenate(parts)
+    words.flags.writeable = False
+    return words
 
 
 def _check_images(m: Morphism, bound: PowerBound, t: int, level_steps) -> bool:
@@ -403,7 +383,10 @@ def _window_images(m: Morphism, length: int) -> list[str]:
     q = m.uniform_length
     if q is None or m.domain_alphabet != 3:
         raise ValueError("expected a uniform ternary-domain morphism")
-    return [m.apply_text(u.text) for u in squarefree_ternary_words(-(-length // q) + 1)]
+    words = _squarefree_word_array(-(-length // q) + 1)
+    text = m._image_table[1][48 + words].tobytes().decode("ascii")
+    width = words.shape[1] * q
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def complement_factor_bound(m: Morphism) -> int:
@@ -442,13 +425,13 @@ def complement_factor_bound(m: Morphism) -> int:
 def morphic_antisquare_inventory(m: Morphism, window: int) -> AntisquareInventory:
     """Distinct antisquares of length <= window occurring in images of
     squarefree ternary words; by the window lemma the images of the words
-    of length ceil(window/q) + 1 hold all of them."""
-    combined = AntisquareInventory()
-    for image in _window_images(m, window):
-        for a in inventory(Word(image, m.target_alphabet)).distinct:
-            if len(a) <= window:
-                combined.distinct.add(a)
-    return combined
+    of length ceil(window/q) + 1 hold all of them, and one walk of their
+    factor codes finds them."""
+    images = _window_images(m, window)
+    if m.target_alphabet != 2:
+        raise ValueError("antisquare inventory is only defined for binary words")
+    found = _inventory(images).distinct
+    return AntisquareInventory({a for a in found if len(a) <= window})
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 checker and depth-first driver that `antisquares.search` replaced with its
 chunk walk.  Every push costs a few numpy calls, so it is slow, but each
 constraint is checked on exactly one word at a time; the tests compare the
-chunk walk against it tree for tree.
+chunk walk against it tree for tree.  Also a letter-at-a-time backtracking
+enumerator of the squarefree ternary words, the word oracle of the
+morphism, repetition and Fibonacci tests.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -17,6 +19,23 @@ from antisquares.search import ConstraintSet
 from antisquares.words import Word
 
 CHECKPOINT_MAGIC = "antisquares-dfs-checkpoint-v2"
+
+
+def squarefree_ternary_words(length: int) -> Iterator[Word]:
+    """The squarefree ternary words of the given length, lexicographically
+    and lazily: a prefix grows by the letters 0, 1, 2 in turn, and a letter
+    is kept iff no suffix of the longer prefix is a square."""
+
+    def extend(text: str) -> Iterator[Word]:
+        if len(text) == length:
+            yield Word(text, 3)
+            return
+        for a in "012":
+            t = text + a
+            if all(t[-2 * p : -p] != t[-p:] for p in range(1, len(t) // 2 + 1)):
+                yield from extend(t)
+
+    return extend("")
 
 
 class IncrementalChecker:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antisquares.antisquares import (
+    _inventory,
     antisquare_order,
     characterized_minimal,
     complement_pair_bound,
@@ -113,6 +114,18 @@ def test_complementary_pairs_lie_within_one_text():
         texts = ["".join(rng.choice("01") for _ in range(rng.randrange(0, 12))) for _ in range(rng.randrange(0, 5))]
         for length in range(1, 14):
             assert has_complementary_pair(texts, length) == brute_pair(texts, length), (texts, length)
+
+
+def test_antisquares_lie_within_one_text():
+    # joined, the texts would hold the antisquares 01, 0011 and 1001
+    assert _inventory(["0", "1"]).count == 0
+    assert _inventory(["00", "11"]).count == 0
+    assert {a.text for a in _inventory(["0110", "01"]).distinct} == {"01", "10", "0110"}
+    rng = random.Random(13)
+    for _ in range(300):
+        texts = ["".join(rng.choice("01") for _ in range(rng.randrange(0, 12))) for _ in range(rng.randrange(0, 5))]
+        want = set().union(*map(brute_inventory, texts))
+        assert {a.text for a in _inventory(texts).distinct} == want, texts
 
 
 def test_complementary_pair_arguments():

@@ -5,7 +5,7 @@ from itertools import groupby
 import pytest
 
 import search_reference
-from antisquares import morphisms
+from antisquares import fibanalysis, morphisms
 from antisquares.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -196,6 +196,21 @@ def test_fib_report(capsys):
     assert records[0]["unmatched"] == 0
     assert 0 < records[0]["gap_to_limit"] < 0.02
     assert out.rstrip().endswith("PASS")
+
+
+def test_fib_report_prints_one_row_per_k(capsys):
+    # the rows of one k differ only in their witness, so the first row of
+    # each k gives both the set of all rows and the last row of each k
+    n = 20000
+    code, records, out = run(capsys, "fib-report", "--prefix-len", str(n))
+    assert code == EXIT_OK
+    rows = fibanalysis.analyze_w_repetitions(n).rows
+    assert len(rows) > 2 * len({r.k for r in rows}) > 20
+    family = sorted({(r.k, r.n, r.p, f"{r.exponent.numerator}/{r.exponent.denominator}") for r in rows})
+    assert records[0]["family_rows"] == [list(row) for row in family]
+    per_k = sorted({r.k: r for r in rows}.values(), key=lambda r: r.k)
+    lines = [line for line in out.splitlines() if line.startswith("# ") and "\t" in line]
+    assert lines == ["# k\tn\tp\texponent\tdecimal\tzeckendorf(p)"] + ["# " + r.tsv() for r in per_k]
 
 
 def test_minimal_antisquares_closed_form(capsys):

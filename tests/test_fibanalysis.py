@@ -7,9 +7,9 @@ import pytest
 import repetitions_reference as reference
 from antisquares import fibanalysis as fa
 from antisquares.antisquares import inventory, is_good
-from antisquares.morphisms import squarefree_ternary_words
 from antisquares.repetitions import PowerBound, Repetition, critical_exponent, satisfies
 from antisquares.words import Word
+from search_reference import squarefree_ternary_words
 
 
 def test_fibonacci_numbers():

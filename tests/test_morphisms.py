@@ -5,11 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from antisquares.antisquares import inventory
 from antisquares.morphisms import (
     _check_images,
     _level_matrices,
     _level_tables,
     _squarefree_word_array,
+    _window_images,
     UNIFORM_LENGTHS,
     VERIFICATION_PARAMS,
     Morphism,
@@ -21,11 +23,11 @@ from antisquares.morphisms import (
     is_synchronizing,
     load_registry,
     morphic_antisquare_inventory,
-    squarefree_ternary_words,
     verify_construction,
 )
 from antisquares.repetitions import PowerBound, critical_exponent, satisfies
 from antisquares.words import Word, complement_text, factor_texts
+from search_reference import squarefree_ternary_words
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +98,15 @@ def test_is_synchronizing():
         is_synchronizing(Morphism(("0", "01")))
 
 
+def word_texts(words: np.ndarray) -> list[str]:
+    return ["".join(map(str, row)) for row in words.tolist()]
+
+
 def test_squarefree_ternary_counts():
-    # classical counts of squarefree ternary words (OEIS A006156)
-    expected = [1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388,
+    # classical counts of squarefree ternary words (OEIS A006156), lengths 1-24
+    expected = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388,
                 3180, 4146, 5418, 7032]
-    assert [sum(1 for _ in squarefree_ternary_words(n)) for n in range(25)] == expected
+    assert [len(_squarefree_word_array(n)) for n in range(1, 25)] == expected
 
 
 def is_squarefree(t: str) -> bool:
@@ -108,14 +114,16 @@ def is_squarefree(t: str) -> bool:
 
 
 def test_squarefree_ternary_words_match_brute():
-    for n in range(10):
+    for n in range(1, 10):
         want = [t for t in map("".join, product("012", repeat=n)) if is_squarefree(t)]
+        assert word_texts(_squarefree_word_array(n)) == want, n
         assert [u.text for u in squarefree_ternary_words(n)] == want, n
 
 
 def test_squarefree_ternary_words_are_squarefree():
-    for w in squarefree_ternary_words(6):
-        t = w.text
+    words = _squarefree_word_array(6)
+    assert not words.flags.writeable and _squarefree_word_array(6) is words  # kept once per process
+    for t in word_texts(words):
         for p in range(1, 4):
             for i in range(len(t) - 2 * p + 1):
                 assert t[i : i + p] != t[i + p : i + 2 * p]
@@ -451,6 +459,58 @@ def test_complement_factor_bound_caps_antisquare_orders(registry):
     cb = complement_factor_bound(m)
     inv = morphic_antisquare_inventory(m, 2 * cb)
     assert inv.max_order <= cb
+
+
+def test_window_images_match_the_per_word_images(registry):
+    # each window of w letters serves the lengths (w - 2)q + 1 .. (w - 1)q
+    uniform = 0
+    for name, entry in registry.items():
+        m = entry.morphism
+        if m.domain_alphabet != 3:
+            continue
+        if m.uniform_length is None:
+            for reject in (_window_images, morphic_antisquare_inventory):
+                with pytest.raises(ValueError, match="uniform"):
+                    reject(m, 8)
+            continue
+        q = m.uniform_length
+        for window in (2, 3, 4):
+            want = [m.apply_text(u.text) for u in squarefree_ternary_words(window)]
+            for length in ((window - 2) * q + 1, (window - 1) * q):
+                assert _window_images(m, length) == want, (name, window, length)
+        uniform += 1
+    assert uniform >= len(VERIFICATION_PARAMS)
+
+
+def _per_image_inventory(m, window):
+    """The antisquares of length <= window of the window images, one
+    inventory per image."""
+    found = set()
+    for u in squarefree_ternary_words(-(-window // m.uniform_length) + 1):
+        found |= {a.text for a in inventory(apply(m, u)).distinct if len(a) <= window}
+    return found
+
+
+# (count, max order) of each construction's inventory at window 2m
+INVENTORIES = {
+    "xi3": (6, 2), "xi5": (14, 4), "xi6": (23, 5), "zeta3": (3, 2), "zeta6": (6, 2), "zeta9": (9, 4),
+    "zeta10": (10, 8), "zeta15": (15, 5), "zeta16": (16, 8),
+}
+
+
+def test_morphic_inventory_is_the_union_of_per_image_inventories(registry):
+    for name, params in VERIFICATION_PARAMS.items():
+        m = registry[name].morphism
+        inv = morphic_antisquare_inventory(m, 2 * params["m"])
+        assert {a.text for a in inv.distinct} == _per_image_inventory(m, 2 * params["m"]), name
+        assert (inv.count, inv.max_order) == INVENTORIES[name], name
+    rng = random.Random(21)
+    for _ in range(60):
+        q = rng.randint(1, 12)
+        m = Morphism(tuple("".join(rng.choice("01") for _ in range(q)) for _ in range(3)))
+        window = rng.randint(1, 4 * q)
+        got = {a.text for a in morphic_antisquare_inventory(m, window).distinct}
+        assert got == _per_image_inventory(m, window), (m.images, window)
 
 
 def test_verify_construction_fast_entries(registry):

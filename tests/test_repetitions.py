@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import repetitions_reference as reference
 from antisquares import fibanalysis, morphisms
+from search_reference import squarefree_ternary_words
 from antisquares.repetitions import (
     _BLOCK,
     _JUMP_MIN,
@@ -49,7 +50,7 @@ def long_words() -> list[Word]:
 def squarefree_ternary(length: int) -> Word:
     """A squarefree ternary word: the one at index `length` among those of
     that length, in lexicographic order."""
-    return next(islice(morphisms.squarefree_ternary_words(length), length, None))
+    return next(islice(squarefree_ternary_words(length), length, None))
 
 
 def h_images() -> list[Word]:
@@ -103,7 +104,7 @@ def test_critical_exponent_exhaustive_small():
 
 
 def test_critical_exponent_witness_matches_reference():
-    squarefree = list(morphisms.squarefree_ternary_words(8)) + [squarefree_ternary(n) for n in (20, 40, 60)]
+    squarefree = list(squarefree_ternary_words(8)) + [squarefree_ternary(n) for n in (20, 40, 60)]
     words = ternary_words() + long_words() + squarefree + h_images()
     for w in words:
         assert critical_exponent(w) == reference.critical_exponent(w), w.text[:60]
