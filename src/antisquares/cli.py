@@ -2,8 +2,8 @@
 constrained searches, counting experiments, construction verification, and
 one-shot reproduction of the published tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exhausted.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 search not
+closed: budget or --max-depth.
 """
 
 from __future__ import annotations
@@ -139,22 +139,24 @@ def cmd_search(args) -> int:
         c,
         budget=_budget(args, search.DEFAULT_SEARCH_BUDGET),
         max_depth=args.max_depth,
-        target=args.target,
+        # a word of --max-depth letters leaves the tree open: stop at the first, the least one
+        target=args.max_depth if args.target is None and args.max_depth >= 1 else args.target,
         checkpoint_path=args.checkpoint,
         resume_from=args.resume,
     )
+    closed = outcome.exhausted and (args.target is not None or outcome.max_length < args.max_depth)
     _emit(
         {
             "constraints": c.describe(),
             "max_length": outcome.max_length,
             "witness": outcome.witness.text,
-            "exhausted": outcome.exhausted,
+            "exhausted": closed,
             "nodes": outcome.nodes_explored,
             "wall_time": round(outcome.wall_time, 3),
         }
     )
-    print(f"# longest word: {outcome.max_length} (exhausted={outcome.exhausted}, nodes={outcome.nodes_explored})")
-    return EXIT_OK if outcome.exhausted else EXIT_BUDGET
+    print(f"# longest word: {outcome.max_length} (exhausted={closed}, nodes={outcome.nodes_explored})")
+    return EXIT_OK if closed else EXIT_BUDGET
 
 
 def cmd_count(args) -> int:
@@ -220,8 +222,8 @@ def cmd_minimal_antisquares(args) -> int:
 
 def cmd_fib_report(args) -> int:
     n = args.prefix_len
-    if n < 100:  # the repetition analysis needs this many letters
-        raise UsageError(f"--prefix-len must be >= 100, got {n}")
+    if not 100 <= n <= 2**21 - 2:  # the repetition analysis needs this many letters, and sorts its suffixes
+        raise UsageError(f"--prefix-len must be between 100 and {2**21 - 2}, got {n}")
     inv = inventory(fibanalysis.word_w_prefix(n))
     ana = fibanalysis.analyze_w_repetitions(n)
     gap = 2 + (1 + 5**0.5) / 2 - float(ana.max_exponent)  # display only; PASS is decided exactly

@@ -226,13 +226,12 @@ def _lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
     and at j, the one ranked just below i, follow the same letter, then the
     suffixes at i-1 and j-1 are neighbours too and share one letter more,
     so i + lcp is the same at i-1 and at i.  Only the other positions, the
-    irreducible ones, need a comparison (see _first_differences), and
+    irreducible ones, need a comparison (see _common_prefixes), and
     i + lcp never falls as i grows, so a running maximum fills in the rest.
     The irreducible values add up to at most 2n log n letters; w has 13
-    irreducible positions at 10^5 letters, and reversed w 28.  The unique
-    last letter of `text` stops every comparison inside the text.  Besides
-    the result, the working set is 4 bytes a letter, and 16 for each
-    irreducible position while they are found.
+    irreducible positions at 10^5 letters.  Besides the result, the working
+    set is 4 bytes a letter, and 24 for each irreducible position while they
+    are found.
     """
     n = len(text) - 1
     # the letter before each suffix, '$' before the whole text, in rank order
@@ -242,7 +241,8 @@ def _lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
     r = (before[1:] != before[:-1]).nonzero()[0]
     del before
     end = np.zeros(n + 1, dtype=np.int32)  # i + lcp at suffix i: at most n
-    _first_differences(text, sa[1:][r], sa[r], end)
+    a = sa[1:][r]
+    end[a] = a + _common_prefixes(text, a, sa[r])
     end[n] = n  # '$' ranks first and shares nothing
     np.maximum.accumulate(end, out=end)
     lcp = end[sa]
@@ -250,10 +250,9 @@ def _lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
     return lcp
 
 
-def _first_differences(text: bytes, a: np.ndarray, b: np.ndarray, end: np.ndarray) -> None:
-    """Set end[a[k]] to a[k] + the longest common prefix of the suffixes at
-    a[k] and b[k] of `text`, which ends with a letter found nowhere else,
-    for every k.
+def _common_prefixes(text: bytes, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Longest common prefix of the suffixes at a[k] != b[k] of `text`, which
+    ends with a letter found nowhere else, for every k (a[k] may repeat).
 
     Rounds compare 8 letters of every open pair at once, _BLOCK pairs per
     numpy call, read as one unaligned little-endian uint64 at each offset;
@@ -262,26 +261,26 @@ def _first_differences(text: bytes, a: np.ndarray, b: np.ndarray, end: np.ndarra
     the rest gallop: compare slices of doubling length until one differs,
     then halve it down to the letter.
     """
+    out = np.empty(len(a), dtype=np.int32)
+    pair = np.arange(len(a), dtype=np.int32)  # the open pairs
     offset = 0  # every open pair has moved on by as many letters
     if len(a) >= _JUMP_MIN:
         eight = np.ndarray(len(text), dtype="<u8", buffer=text + bytes(7), strides=(1,))  # text[x : x+8]
-        while len(a) >= _JUMP_MIN:
-            same = np.empty(len(a), dtype=bool)
-            for x in range(0, len(a), _BLOCK):
+        while len(pair) >= _JUMP_MIN:
+            same = np.empty(len(pair), dtype=bool)
+            for x in range(0, len(pair), _BLOCK):
                 xor = eight[a[x : x + _BLOCK]]
                 xor ^= eight[b[x : x + _BLOCK]]
                 np.equal(xor, 0, out=same[x : x + _BLOCK])
                 differ = ~same[x : x + _BLOCK]
                 low = xor[differ]
                 low &= -low
-                at = a[x : x + _BLOCK][differ]
-                end[at - offset] = at + ((np.frexp(low)[1] - 1) >> 3)  # 2**k has exponent k+1
-            a, b = a[same], b[same]
+                out[pair[x : x + _BLOCK][differ]] = offset + ((np.frexp(low)[1] - 1) >> 3)  # 2**k has exponent k+1
+            pair, a, b = pair[same], a[same], b[same]
             a += 8
             b += 8
             offset += 8
-    out = memoryview(end)
-    for i, j in zip(a.tolist(), b.tolist()):
+    for k, i, j in zip(pair.tolist(), a.tolist(), b.tolist()):
         start = i - offset
         width = 1
         while text[i : i + width] == text[j : j + width]:
@@ -296,7 +295,8 @@ def _first_differences(text: bytes, a: np.ndarray, b: np.ndarray, end: np.ndarra
                 width -= half
             else:
                 width = half
-        out[start] = i
+        out[k] = i - start
+    return out
 
 
 def _lyndon_roots(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,15 +395,19 @@ def _runs(w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     extends to w[i-b : j+f], where f and b are the longest common extensions
     of i and j to the right and to the left, and is a run with period j-i
     exactly when f + b >= j-i.  Right extensions come from the suffix ranks
-    and LCP array of w, left ones from those of reversed w.  The ranks of w,
-    reversed, order the suffixes under the reversed letters with '$' taken
-    as greatest; that finds the roots of every run that ends before the end
-    of w, and the others have roots under the alphabet order, so the roots
-    that end there are dropped.  Candidates with
-    the same period and right end extend to the same factor, so only one of
-    them is extended to the left.  Every array is int32 or smaller but the
-    sort keys, and each is dropped once spent: the tracemalloc peak is 31.8
-    bytes a letter on w at 10^6 letters, and 36.6 on a random binary word.
+    and LCP array of w.  The ranks n - rank order the suffixes under the
+    reversed letters with '$' taken as greatest; that finds the roots of
+    every run that ends before the end of w, and the others have roots under
+    the alphabet order, so the roots that end there are dropped.  Candidates
+    with the same period and right end extend to the same factor, so only
+    the one with the leftmost root is extended to the left, by comparing w
+    read backwards from i-1 and j-1 (see _common_prefixes).  Its b is below
+    its period: a candidate that roots no run has f + b < j-i, and a run's
+    leftmost root lies in its first period, as a root at i >= s+p gives one
+    at i-p.  On w at 10^5 letters the 42,703 left extensions add up to
+    500,870 letters.  Every array is int32 or smaller but the sort keys, and
+    each is dropped once spent: the tracemalloc peak is 31.8 bytes a letter
+    on w at 10^6 letters, 36.6 on a random binary one.
     """
     n = len(w)
     text = (w.text + "$").encode("ascii")  # '$' is below every digit
@@ -430,20 +434,14 @@ def _runs(w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.not_equal(group[1:], group[:-1], out=first[1:])
     period, end, root = _unpack(n, key[first])
     del key, group, first
-    # short of two periods, a candidate must extend to the left: drop it if
-    # fewer letters than it needs lie before it, or the first one differs
+    # short of two periods, a candidate needs the letter before it to repeat one period on
     arr = w.array()
-    drop = end - root < 2 * period
-    drop &= (end < 2 * period) | (arr[root - 1] != arr[root + period - 1])
-    keep = ~drop
+    keep = (end - root >= 2 * period) | (end >= 2 * period) & (arr[root - 1] == arr[root + period - 1])
     period, end, root = period[keep], end[keep], root[keep]
-    del drop, keep
-    text = (w.text[::-1] + "$").encode("ascii")
-    rank, sa = _suffix_ranks(text)
-    lcp = _lcp_array(text, rank, sa)
-    del sa
-    start = root - _lce(rank, lcp, n - root, n - root - period)
-    del rank, lcp, root
+    del keep
+    # the left extensions: w read backwards from root-1 and root+period-1
+    start = root - _common_prefixes((w.text[::-1] + "$").encode("ascii"), n - root, n - root - period)
+    del root
     end -= start  # length
     run = end >= 2 * period
     # the runs of period 1: blocks of one letter, cut where the letter changes

@@ -619,11 +619,11 @@ def longest_word(
     """Exact maximum word length under the constraints, with a witness.
 
     The witness is the lexicographically least maximal-length word (starting
-    with 0 under the complement symmetry).  exhausted=True iff the whole tree
-    was closed within budget.  With target set, the search stops after the
-    expansion that reaches that length (exhausted then just means "target
-    reached"), and the witness is the least word of that length; ValueError
-    unless 1 <= target <= max_depth.
+    with 0 under the complement symmetry).  exhausted=True iff the tree, cut
+    at max_depth, was closed within budget: a max_length of max_depth is a
+    lower bound.  With target set, the search stops after the expansion that
+    reaches it (exhausted then means "target reached"), and the witness is
+    the least word of that length; ValueError unless 1 <= target <= max_depth.
     """
     if target is not None and not 1 <= target <= max_depth:
         raise ValueError(f"target must be between 1 and max_depth {max_depth}, got {target}")

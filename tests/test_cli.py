@@ -103,6 +103,20 @@ def test_target_search_cut_by_the_budget_exits_3(capsys):
     assert (code, records[0]["exhausted"], records[0]["max_length"]) == (EXIT_OK, True, 3)
 
 
+def test_search_that_reaches_max_depth_exits_3(capsys):
+    # binary cube-free words are infinite: the search used to close the
+    # tree cut at depth 40 after 21,837,151 nodes and report 40 as exact
+    code, records, _ = run(capsys, "search", "--beta", "3", "--max-depth", "40")
+    assert (code, records[0]["exhausted"], records[0]["max_length"]) == (EXIT_BUDGET, False, 40)
+    assert records[0]["witness"] == "0010010100100110010010100100110010010100"
+    assert records[0]["nodes"] < 100_000
+    code, records, _ = run(capsys, "search", "--beta", "3", "--max-depth", "0")
+    assert (code, records[0]["exhausted"], records[0]["max_length"]) == (EXIT_BUDGET, False, 0)
+    # a tree that closes below the depth keeps its nodes and witness
+    code, records, _ = run(capsys, "search", "--beta", "8/3", "--max-order", "4", "--max-depth", "64")
+    assert (code, records[0]["nodes"], records[0]["witness"]) == (EXIT_OK, 1715, "00100101001100101001100110100")
+
+
 def test_malformed_constraint_flags_are_usage_errors(capsys):
     for argv in (["count", "--n-max", "5"], ["search", "--beta", "abc"], ["analyze", "0110", "--beta", "abc"],
                  ["search", "--beta", "1/0"], ["search", "--beta", "1"], ["count", "--max-count", "-1", "--n-max", "5"],
@@ -128,8 +142,9 @@ def test_target_outside_one_to_max_depth_is_a_usage_error(capsys):
     ["fib-report", "--prefix-len", "50"],
     ["minimal-antisquares", "--max-order", "0"],
     ["minimal-antisquares", "--max-order", "0", "--closed-form"],  # printed an empty table
+    ["fib-report", "--prefix-len", "2200000"],  # past the suffix sorting cap, found after building w
 ], ids=["word-w-length-0", "negative-length", "seed-not-prolongable", "seed-outside-domain", "short-fib-report",
-        "max-order-0", "closed-form-max-order-0"])
+        "max-order-0", "closed-form-max-order-0", "fib-report-past-sort-cap"])
 def test_bad_sizes_and_seeds_are_usage_errors(capsys, argv):
     # each of these ended in a traceback with exit 1 or printed nothing with exit 0
     code, _, out = run(capsys, *argv)

@@ -15,6 +15,7 @@ from antisquares.repetitions import (
     _JUMP_MIN,
     PowerBound,
     Repetition,
+    _common_prefixes,
     _lce,
     _lcp_array,
     _lyndon_roots,
@@ -223,6 +224,28 @@ def test_maximal_repetitions_match_reference_ternary_and_long():
             assert maximal_repetitions(w, e) == reference.maximal_repetitions(w, e), (w.text[:60], e)
 
 
+def left_extension_words() -> list[Word]:
+    """Words whose runs reach far to the left of their leftmost Lyndon root:
+    300 squares uu and 30 cubes of random binary blocks of 50-500 letters,
+    the staircases 0^1·1·0^2·1 ... 0^k·1, and Fibonacci prefixes."""
+    rng = random.Random(61)
+    blocks = ["".join(rng.choice("01") for _ in range(rng.randint(50, 500))) for _ in range(300)]
+    texts = [u * 2 for u in blocks] + [u * 3 for u in blocks[:30]]
+    texts += ["".join("0" * i + "1" for i in range(1, k + 1)) for k in (5, 20, 60)]
+    texts += [fibanalysis.fibonacci_word_prefix(n).text for n in (100, 987, 2000)]
+    return [Word(t) for t in texts]
+
+
+def test_long_left_extensions_match_reference():
+    for w in left_extension_words():
+        runs = reference.maximal_repetitions(w, Fraction(2))
+        assert maximal_repetitions(w, Fraction(2)) == runs, w.text[:60]
+        # every word here has a square, so the critical exponent is that of
+        # a run: the largest, of the smallest period, then the earliest start
+        witness = min(runs, key=lambda r: (-r.exponent, r.period, r.start))
+        assert critical_exponent(w) == (witness.exponent, witness), w.text[:60]
+
+
 def test_maximal_repetitions_edge_cases():
     with pytest.raises(ValueError):
         maximal_repetitions(Word("0101"), Fraction(3, 2))
@@ -396,3 +419,46 @@ def test_lcp_array_matches_the_loop():
         rank, sa = _suffix_ranks(text)
         got, expect = _lcp_array(text, rank, sa), reference.lcp_array(text, rank, sa)
         assert got.dtype == expect.dtype and np.array_equal(got, expect), (t[:20], len(t))
+
+
+def common_prefix_pairs() -> tuple[bytes, list[tuple[int, int]]]:
+    """A text and pairs for _common_prefixes: a random block u of 300
+    letters repeated 6 times inside random letters and 3 times at the end,
+    so that pairs one or two periods apart share up to 1,500 letters, and
+    those in the last repeats share all up to the '$'; pairs at the '$';
+    pairs that share one first position; and random pairs, which share
+    few letters."""
+    rng = random.Random(53)
+
+    def letters(k):
+        return "".join(rng.choice("01") for _ in range(k))
+
+    u = letters(300)
+    t = letters(200) + u * 6 + letters(200) + u * 3
+    text = (t + "$").encode("ascii")
+    n = len(t)
+    pairs = [(i, i + d * 300) for i in rng.sample(range(n - 600), 300) for d in (1, 2)]
+    pairs += [(n, j) for j in rng.sample(range(n), 20)] + [(j, n) for j in rng.sample(range(n), 20)]
+    first = 257  # inside the first repeats
+    pairs += [(first, j) for j in rng.sample(range(n + 1), 100) if j != first]
+    while len(pairs) < 2 * _BLOCK + 7:
+        i, j = rng.sample(range(n + 1), 2)
+        pairs.append((i, j))
+    rng.shuffle(pairs)
+    return text, pairs
+
+
+def test_common_prefixes_match_common_prefix():
+    # below, at and above _JUMP_MIN pairs take the galloping compare alone
+    # or the 8-letter rounds first; more than _BLOCK pairs take the block
+    # loop past its first block
+    text, pairs = common_prefix_pairs()
+    n = len(text) - 1
+    expect = [common_prefix(text, i, j) for i, j in pairs]
+    assert max(expect) > 1000 and sum(e > 8 for e in expect) > _JUMP_MIN
+    assert any(max(i, j) + e == n for (i, j), e in zip(pairs, expect))  # up to the '$'
+    for count in (1, _JUMP_MIN - 1, _JUMP_MIN, _JUMP_MIN + 1, len(pairs)):
+        a, b = np.array(pairs[:count], dtype=np.int32).T
+        got = _common_prefixes(text, a, b)
+        assert got.dtype == np.int32 and got.tolist() == expect[:count], count
+        assert a.tolist() == [i for i, _ in pairs[:count]]  # the inputs are left alone
