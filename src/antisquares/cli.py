@@ -3,7 +3,8 @@ constrained searches, counting experiments, construction verification, and
 one-shot reproduction of the published tables.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 search not
-closed: budget or --max-depth.
+closed: budget or --max-depth, 141 (128 + SIGPIPE) stdout closed by its
+reader, as in `generate --word-w --length 200000 | head -c 10`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -397,13 +399,20 @@ def main(argv=None) -> int:
     if args.verb == "generate" and not args.word_w and not args.morphism:
         parser.error("--morphism or --word-w required")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except search.BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's flush at exit
+        # does not fail on the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

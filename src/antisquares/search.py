@@ -316,8 +316,6 @@ class _DFS:
         self.interned: dict[bytes, int] = {}  # antisquares of order > _TAG_ORDER -> negative ids
         antisquares = c.max_antisquare_order is not None or c.max_distinct_antisquares is not None
         counted = c.max_distinct_antisquares is not None
-        # the distances at which rows keep runs, which read whether letters match
-        self.match_width = max(self.eq_width if c.power is not None else 0, self.ne_width if antisquares else 0)
         self.root = _Rows(
             np.zeros((1, 0), np.uint8),
             np.zeros((1, 0), dtype) if c.power is not None else None,
@@ -371,10 +369,10 @@ class _DFS:
         S = len(alive)
         grown = np.empty((S, d + 1), np.uint8)
         grown[:, 0] = letter
-        back.take(parent, 0, grown[:, 1:], "clip")
-        before = grown[:, 1 : 1 + self.match_width]  # the letters p back, 255 past the prefix
-        eq = None if rows.eq is None else self._grow(rows.eq, parent, before == letter[:, None], self.eq_width)
-        ne = None if rows.ne is None else self._grow(rows.ne, parent, before == (letter ^ 1)[:, None], self.ne_width)
+        grown[:, 1:] = back.take(parent, 0, mode="clip")  # a take into a column slice gathers into a buffer first
+        before = grown[:, 1:]  # the letters p back, 255 past the prefix
+        eq = None if rows.eq is None else self._grow(rows.eq, parent, before, letter, self.eq_width)
+        ne = None if rows.ne is None else self._grow(rows.ne, parent, before, letter ^ 1, self.ne_width)
         suffix = tags = ntags = None
         if state is not None:
             state = state[alive]
@@ -393,17 +391,22 @@ class _DFS:
         return _Rows(grown, eq, ne, state, suffix, tags, ntags, np.zeros(S, np.uint8), rows.depth[parent] + 1)
 
     @staticmethod
-    def _grow(runs: np.ndarray, parent: np.ndarray, extend: np.ndarray, width: int) -> np.ndarray:
-        """The children's runs: a parent's run plus one where the child's
-        letter extends it, else 0, and a new 0 column for the next distance
-        while the row is narrower than width."""
+    def _grow(runs: np.ndarray, parent: np.ndarray, before: np.ndarray, letter: np.ndarray, width: int) -> np.ndarray:
+        """The children's runs: a parent's run plus one where the letter
+        p back (before) equals letter, else 0, and a new 0 column for the
+        next distance while the row is narrower than width."""
         w = runs.shape[1]
-        grown = np.empty((len(parent), w + (w < width)), runs.dtype)
-        extended = grown[:, :w]
-        runs.take(parent, 0, extended, "clip")  # mode "raise" would gather into a buffer first
+        extend = before[:, :w] == letter[:, None]
+        # a take into a non-contiguous out, such as a column slice of the
+        # wider array, would gather into a buffer first
+        extended = runs.take(parent, 0, mode="clip")
         extended += 1
-        extended *= extend[:, :w]
-        grown[:, w:] = 0
+        if w == width:
+            extended *= extend
+            return extended
+        grown = np.empty((len(parent), w + 1), runs.dtype)
+        np.multiply(extended, extend, out=grown[:, :w])
+        grown[:, w] = 0
         return grown
 
     def _count_antisquares(self, rows, r, k, child):
@@ -419,7 +422,9 @@ class _DFS:
             for i in (order > _TAG_ORDER).nonzero()[0].tolist():
                 key = bytes([letter[i]]) + rows.back[r[i], : k[i]].tobytes()
                 ids[i] = self.interned.setdefault(key, -1 - len(self.interned))
-        new = ~(rows.tags[r] == ids[:, None]).any(axis=1)
+        # one flat scan: numpy's reduction over the short tag axis costs more
+        new = np.ones(len(ids), bool)
+        new[(rows.tags[r] == ids[:, None]).ravel().nonzero()[0] // rows.tags.shape[1]] = False
         child, ids = child[new], ids[new]
         count = rows.ntags.repeat(2) + np.bincount(child, minlength=2 * len(rows))
         return count, child, ids

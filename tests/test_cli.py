@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 from itertools import groupby
 
 import pytest
 
 import search_reference
+import antisquares
 from antisquares import fibanalysis, morphisms
 from antisquares.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
@@ -65,6 +69,22 @@ def test_generate_word_w(capsys):
     line = out.strip().splitlines()[0]
     assert len(line) == 30
     assert line.startswith("010111")
+
+
+def test_stdout_closed_by_its_reader_exits_141():
+    # the reader takes 10 letters and closes the pipe while the word, larger
+    # than a pipe's buffer, is still being written: no traceback, and not the
+    # exit code of a failed verification
+    src = os.path.dirname(os.path.dirname(antisquares.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antisquares.cli", "generate", "--word-w", "--length", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(10) == b"0101110101"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_generate_morphism(capsys):

@@ -545,6 +545,91 @@ def test_closed_expansions_span_chunks(c, max_depth):
         assert out.nodes_explored / out.expansions > 2 * 64
 
 
+CAP9 = ConstraintSet(power=beta("38/15"), max_distinct_antisquares=9)
+
+
+def test_walk_counters():
+    # the walk's nodes and expansions depend on how it groups rows, so a
+    # change to the step that kept the answers but not the walk shows here
+    # (README states the cap-9 ones)
+    out = longest_word(CAP9, target=407, max_depth=512)
+    assert (out.exhausted, out.max_length, out.nodes_explored, out.expansions) == (True, 407, 420451, 426)
+    assert out.witness.text.startswith("001001010011010010100110100110")
+    out = longest_word(CAP15, max_depth=512)
+    assert (out.exhausted, out.max_length, out.nodes_explored, out.expansions) == (True, 156, 113223, 177)
+    out = count_by_length(STRICT_15_4, 120)
+    assert (out.complete, out.nodes_explored, out.expansions) == (True, 45021, 120)
+    assert (out.counts[20], out.counts[120]) == (84, 828)
+
+
+FLIP = str.maketrans("01", "10")
+
+
+def plain_runs(text: str, distances: int, same: bool) -> list[int]:
+    """For p = 1..distances, how many of the word's last letters in a row
+    equal (same) or differ from (not same) the letter p before each."""
+    n, runs = len(text), []
+    for p in range(1, distances + 1):
+        r = 0
+        while r + p < n and (text[n - 1 - r] == text[n - 1 - r - p]) == same:
+            r += 1
+        runs.append(r)
+    return runs
+
+
+def test_step_state_matches_a_plain_recount():
+    # in a merged expansion rows of several lengths share one array; every
+    # child row must hold the state of its own letters, in every column it
+    # holds.  Cap 9 merges rows of lengths 40-46 within 40,000 nodes: at
+    # max_depth 512 its rows are narrower than both run widths, at max_depth
+    # 80 as wide.  The cores' tree merges rows of lengths 55-99, as wide as
+    # the equality width, and has no inequality runs
+    known = {"": frozenset()}
+
+    def antisquare_tags(text: str) -> frozenset:
+        """The tags (1 << k) | last k letters of the word's antisquares."""
+        i = len(text)
+        while text[:i] not in known:
+            i -= 1
+        for e in range(i + 1, len(text) + 1):
+            known[text[:e]] = known[text[: e - 1]] | {
+                (1 << k) | int(text[e - k : e], 2)
+                for k in range(1, e // 2 + 1)
+                if text[e - k : e] == text[e - 2 * k : e - k].translate(FLIP)
+            }
+        return known[text]
+
+    def row_texts(rows) -> list[str]:
+        return ["".join(map(str, back[:depth][::-1])) for back, depth in zip(rows.back.tolist(), rows.depth.tolist())]
+
+    narrow = set()
+    cores = ConstraintSet(power=beta("4"), forbidden_factors=CORE_FORBIDDEN)
+    for c, max_depth, budget in ((CAP9, 512, 40_000), (CAP9, 80, 40_000), (cores, 100, 72_000)):
+        dfs = _DFS(c, max_depth, budget)
+        merged, step = [], dfs._step
+
+        def spy(rows, tried):
+            children = step(rows, tried)
+            if len(set(rows.depth.tolist())) > 1:
+                merged.append((set(row_texts(rows)), children))
+                narrow.add((rows.eq.shape[1] < dfs.eq_width, rows.ne is not None and rows.ne.shape[1] < dfs.ne_width))
+            return children
+
+        dfs._step = spy
+        assert not dfs.run() and merged
+        for parents, children in merged:
+            for i, text in enumerate(row_texts(children)):
+                assert text[:-1] in parents and (children.back[i, len(text) :] == 255).all(), text
+                assert children.eq[i].tolist() == plain_runs(text, children.eq.shape[1], True), text
+                if c.max_distinct_antisquares is None:
+                    continue
+                assert children.ne[i].tolist() == plain_runs(text, children.ne.shape[1], False), text
+                assert children.suffix[i] == int(text[-62:], 2), text
+                tags = children.tags[i, : children.ntags[i]].tolist()
+                assert len(set(tags)) == len(tags) and set(tags) == antisquare_tags(text), text
+    assert narrow == {(True, True), (False, False)}
+
+
 def test_stack_pins_no_large_arrays():
     # the stack holds rows of the children arrays of earlier expansions; an
     # array may outlive the rows taken from it only while the stack still
