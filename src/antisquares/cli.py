@@ -17,7 +17,7 @@ from itertools import groupby
 
 from . import fibanalysis, morphisms, search
 from .antisquares import MinimalAntisquareTable, characterized_minimal, inventory, minimal_antisquares
-from .repetitions import PowerBound, critical_exponent
+from .repetitions import MAX_LENGTH, PowerBound, critical_exponent
 from .words import Word
 
 EXIT_OK = 0
@@ -80,7 +80,13 @@ def cmd_analyze(args) -> int:
         }
         if args.beta or args.max_order is not None or args.max_count is not None:
             c = _constraints(args)
-            ok, violation = search.check_word(c, w)
+            if c.power is not None and c.power.violated_by(cexp):
+                # the exact exponent decides the bound; check_word scans only
+                # for the minimal witness, and stops there
+                ok, violation = search.check_word(c, w)
+            else:
+                violation = search.antisquare_violation(c, inv)
+                ok = violation is None
             record["constraints"] = c.describe()
             record["pass"] = ok
             if not ok:
@@ -224,8 +230,8 @@ def cmd_minimal_antisquares(args) -> int:
 
 def cmd_fib_report(args) -> int:
     n = args.prefix_len
-    if not 100 <= n <= 2**21 - 2:  # the repetition analysis needs this many letters, and sorts its suffixes
-        raise UsageError(f"--prefix-len must be between 100 and {2**21 - 2}, got {n}")
+    if not 100 <= n <= MAX_LENGTH:  # the repetition analysis needs this many letters, and sorts its suffixes
+        raise UsageError(f"--prefix-len must be between 100 and {MAX_LENGTH}, got {n}")
     inv = inventory(fibanalysis.word_w_prefix(n))
     ana = fibanalysis.analyze_w_repetitions(n)
     gap = 2 + (1 + 5**0.5) / 2 - float(ana.max_exponent)  # display only; PASS is decided exactly

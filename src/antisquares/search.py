@@ -60,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .antisquares import inventory
+from .antisquares import AntisquareInventory, inventory
 from .enumeration import build_avoidance_automaton
 from .repetitions import PowerBound, satisfies
 from .words import Word, complement_text
@@ -187,14 +187,21 @@ def check_word(c: ConstraintSet, w: Word) -> tuple[bool, Optional[Violation]]:
                 f"power-bound {c.power}", w[rep.start : rep.start + rep.length]
             )
     if c.max_antisquare_order is not None or c.max_distinct_antisquares is not None:
-        inv = inventory(w)
-        if c.max_antisquare_order is not None and inv.max_order >= c.max_antisquare_order:
-            worst = max(inv.distinct, key=len)
-            return False, Violation("antisquare-order", worst)
-        if c.max_distinct_antisquares is not None and inv.count > c.max_distinct_antisquares:
-            worst = max(inv.distinct, key=len)
-            return False, Violation("antisquare-count", worst)
+        violation = antisquare_violation(c, inventory(w))
+        if violation is not None:
+            return False, violation
     return True, None
+
+
+def antisquare_violation(c: ConstraintSet, inv: AntisquareInventory) -> Optional[Violation]:
+    """The antisquare bound of c, the order cap first, that a word with
+    the antisquare inventory inv breaks, with its longest antisquare as
+    witness; None if it breaks neither."""
+    if c.max_antisquare_order is not None and inv.max_order >= c.max_antisquare_order:
+        return Violation("antisquare-order", max(inv.distinct, key=len))
+    if c.max_distinct_antisquares is not None and inv.count > c.max_distinct_antisquares:
+        return Violation("antisquare-count", max(inv.distinct, key=len))
+    return None
 
 
 class _Rows:

@@ -1,23 +1,55 @@
 """Reference repetition scans for the tests: the per-period loops that
 `antisquares.repetitions` replaced with its runs computation.  Each period
-p = 1..n costs a full-length numpy pass, so they are quadratic, but every
-period is looked at on its own; the tests compare the runs-based answers
-against them word for word.  Beside them, the loops that the runs
-computation and the family analysis of w replaced with array code:
-`lcp_array`, `lyndon_roots` and `analyze_w_repetitions`, and the suffix
-order by sorting the suffixes themselves, `sorted_suffixes`.
+p = 1..n costs a full-length pass, so they are quadratic, but every period
+is looked at on its own; the tests compare the runs-based answers against
+them word for word.  They share no code with the package: the equality
+runs at a distance are found by a regular expression over the bytes of the
+comparison, and minimal periods by comparing the word with its shifts.
+Beside them, the loops that the runs computation and the family analysis
+of w replaced with array code: `lcp_array`, `lyndon_roots` and
+`analyze_w_repetitions`, and the suffix order by sorting the suffixes
+themselves, `sorted_suffixes`.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from antisquares import fibanalysis, repetitions
-from antisquares.repetitions import Repetition, _has_run, _runs_of, smallest_period
+from antisquares.repetitions import Repetition
 from antisquares.words import Word
+
+_EQUAL_RUN = re.compile(b"\x01+")
+
+
+def letters(w: Word) -> np.ndarray:
+    return np.frombuffer(w.text.encode("ascii"), dtype=np.uint8)
+
+
+def equal_at(arr: np.ndarray, p: int) -> bytes:
+    """Byte i is 1 where w[i] == w[i+p], else 0."""
+    return (arr[:-p] == arr[p:]).tobytes()
+
+
+def has_equal_run(eq: bytes, length: int) -> bool:
+    """Whether `equal_at` has length ones in a row."""
+    return b"\x01" * length in eq
+
+
+def longest_equal_run(eq: bytes) -> tuple[int, int]:
+    """(start, length) of the first of the longest runs of ones in `equal_at`."""
+    best = max(_EQUAL_RUN.finditer(eq), key=lambda m: m.end() - m.start())
+    return best.start(), best.end() - best.start()
+
+
+def period(text: str) -> int:
+    """The least p >= 1 with text[i] == text[i+p] wherever both exist."""
+    n = len(text)
+    return next(p for p in range(1, n + 1) if text[p:] == text[: n - p])
 
 
 def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
@@ -30,24 +62,23 @@ def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     n = len(w)
     if n == 0:
         raise ValueError("critical_exponent requires a nonempty word")
-    arr = w.array()
+    arr = letters(w)
     best_num, best_den = 1, 1  # exponent 1 always attained by a single letter
-    best = Repetition(0, n, n) if smallest_period(w) == n else None
+    best = Repetition(0, n, n) if period(w.text) == n else None
     for p in range(1, n):
-        eq = arr[:-p] == arr[p:]
+        eq = equal_at(arr, p)
         # only runs that beat the current best matter
         min_beat = (p * (best_num - best_den)) // best_den + 1
-        if not _has_run(eq, max(min_beat, 1)):
+        if not has_equal_run(eq, max(min_beat, 1)):
             continue
-        starts, lengths = _runs_of(eq)
-        i = int(np.argmax(lengths))
-        length = int(lengths[i]) + p
+        start, run = longest_equal_run(eq)
+        length = run + p
         # compare length/p with best_num/best_den exactly
         if length * best_den > best_num * p:
             best_num, best_den = length, p
-            best = Repetition(int(starts[i]), p, length)
+            best = Repetition(start, p, length)
     if best is None:
-        best = Repetition(0, smallest_period(w), n)
+        best = Repetition(0, period(w.text), n)
         best_num, best_den = n, best.period
     return Fraction(best_num, best_den), best
 
@@ -62,7 +93,7 @@ def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
     n = len(w)
     if n == 0:
         return []
-    arr = w.array()
+    arr = letters(w)
     out = []
     num, den = Fraction(min_exponent).numerator, Fraction(min_exponent).denominator
     for p in range(1, n):
@@ -70,16 +101,15 @@ def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
         min_run = max(-((-(num - den) * p) // den), 1)
         if p + min_run > n:
             break
-        eq = arr[:-p] == arr[p:]
-        if not _has_run(eq, min_run):
+        eq = equal_at(arr, p)
+        if not has_equal_run(eq, min_run):
             continue
-        starts, lengths = _runs_of(eq)
-        for s, r in zip(starts, lengths):
+        for m in _EQUAL_RUN.finditer(eq):
+            r = m.end() - m.start()
             if r < min_run:
                 continue
-            rep = Repetition(int(s), p, int(r) + p)
-            factor = w[rep.start : rep.start + rep.length]
-            if smallest_period(factor) == p:
+            rep = Repetition(m.start(), p, r + p)
+            if period(w.text[rep.start : rep.start + rep.length]) == p:
                 out.append(rep)
     out.sort(key=lambda rep: (rep.start, rep.period))
     return out
@@ -102,7 +132,7 @@ def sorted_suffixes(text: bytes) -> tuple[list[int], list[int]]:
         length *= 4
 
 
-def lcp_array(text: bytes, rank: np.ndarray, sa: np.ndarray) -> np.ndarray:
+def lcp_array(text: bytes, sa: np.ndarray) -> np.ndarray:
     """`repetitions._lcp_array` by the loop of Kasai et al. (CPM 2001) in
     text order: the suffix before i+1 in rank order shares at least one
     letter fewer with it than i with its own.  The unique last letter of

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 
@@ -18,7 +18,8 @@ from antisquares.cli import (
     main,
 )
 from antisquares.repetitions import PowerBound
-from antisquares.search import ConstraintSet
+from antisquares.search import ConstraintSet, check_word
+from antisquares.words import Word
 
 
 def run(capsys, *argv):
@@ -41,6 +42,28 @@ def test_analyze_with_constraints_fail(capsys):
     assert code == EXIT_VERIFICATION_FAILED
     assert records[0]["pass"] is False
     assert records[0]["violation"]["constraint"] == "antisquare-order"
+
+
+def test_analyze_constraints_agree_with_check_word(tmp_path, capsys):
+    # analyze decides the power bound from the exact critical exponent and
+    # the antisquare bounds from its inventory; verdicts and witnesses must
+    # be those of check_word
+    words = ["".join(bits) for n in range(1, 7) for bits in product("01", repeat=n)]
+    words += [fibanalysis.word_w_prefix(n).text for n in (50, 300)]
+    path = tmp_path / "words.txt"
+    path.write_text("\n".join(words) + "\n")
+    for beta, order, count in (("2", None, None), ("5/2+", None, None), ("3", 2, None), ("7/3", None, 2), (None, 3, 1)):
+        flags = [*(["--beta", beta] if beta else []), *(["--max-order", str(order)] if order else []),
+                 *(["--max-count", str(count)] if count is not None else [])]
+        code, records, _ = run(capsys, "analyze", str(path), *flags)
+        c = ConstraintSet(PowerBound.parse(beta) if beta else None, order, count)
+        for record in records:
+            ok, violation = check_word(c, Word(record["word"]))
+            assert record["pass"] == ok, (record["word"], flags)
+            if not ok:
+                expect = {"constraint": violation.constraint, "witness": violation.witness.text}
+                assert record["violation"] == expect, (record["word"], flags)
+        assert code == (EXIT_OK if all(r["pass"] for r in records) else EXIT_VERIFICATION_FAILED)
 
 
 def test_analyze_file(tmp_path, capsys):

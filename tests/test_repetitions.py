@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
 
@@ -16,10 +17,13 @@ from antisquares.repetitions import (
     PowerBound,
     Repetition,
     _common_prefixes,
-    _lce,
+    _extend_right,
     _lcp_array,
     _lyndon_roots,
+    _rank_windows,
+    _runs,
     _suffix_ranks,
+    _unpack,
     critical_exponent,
     exponent,
     maximal_repetitions,
@@ -271,13 +275,34 @@ def common_prefix(text: bytes, i: int, j: int) -> int:
     return lo
 
 
+def runs_peak_per_letter(w: Word) -> float:
+    """The tracemalloc peak of _runs on w, in bytes a letter."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _runs(w)
+        return (tracemalloc.get_traced_memory()[1] - before) / len(w)
+    finally:
+        tracemalloc.stop()
+
+
+def test_runs_peak_memory_per_letter():
+    # the candidates are one int64 key each and every pass over a whole
+    # array goes a block at a time; on 20,000 letters the blocks weigh more
+    rng = random.Random(26)
+    random_word = Word("".join(rng.choice("01") for _ in range(20000)))
+    assert runs_peak_per_letter(fibanalysis.word_w_prefix(10**5)) <= 25
+    assert runs_peak_per_letter(random_word) <= 30
+
+
 def test_suffix_structures_span_several_blocks():
     # long shared factors take many doubling rounds; more than _BLOCK ranks
-    # and queries take the block loops of _lce past their first block
+    # and queries take the block loops of _extend_right past their first block
     text = (fibanalysis.word_w_prefix(3 * _BLOCK).text + "$").encode("ascii")
     rank, sa = _suffix_ranks(text)
     assert (rank[sa] == np.arange(len(text))).all()
-    lcp = _lcp_array(text, rank, sa)
+    lcp = _lcp_array(text, sa)
     for r in range(1, len(text), 97):
         assert text[sa[r - 1] :] < text[sa[r] :]
         assert lcp[r] == common_prefix(text, int(sa[r - 1]), int(sa[r]))
@@ -287,11 +312,18 @@ def test_suffix_structures_span_several_blocks():
     for x in range(_BLOCK, len(text), _BLOCK):
         for r in x - 1, x, x + 1:
             pairs += [(sa[r - 1], sa[r - 1 + (1 << t)]) for t in range(16) if r - 1 + (1 << t) < len(text)]
-    a, b = np.array([p for p in pairs if p[0] != p[1]], dtype=np.int32).T
+    a, b = np.array([sorted(p) for p in pairs if p[0] != p[1]], dtype=np.int32).T
     # the minimum of lcp over the ranks in between, query by query
     ranks = zip(rank[a].tolist(), rank[b].tolist())
     expect = [int(lcp[min(r, s) + 1 : max(r, s) + 1].min()) for r, s in ranks]
-    assert _lce(rank, lcp.copy(), a, b).tolist() == expect
+    key = np.empty(len(a), dtype=np.int64)
+    _rank_windows(rank, a, b, key)
+    key.sort()
+    n = len(text) - 1
+    _extend_right(n, lcp.copy(), sa, key)
+    period, reach, root = _unpack(n, key)  # the keys come sorted by span
+    got = sorted(zip(root.tolist(), (root + period).tolist(), (reach - root - period).tolist()))
+    assert got == sorted(zip(a.tolist(), b.tolist(), expect))
 
 
 def suffix_texts() -> list[str]:
@@ -416,8 +448,8 @@ def test_lcp_array_matches_the_loop():
     texts = ["".join(bits) for n in range(1, 13) for bits in product("01", repeat=n)] + lcp_texts()
     for t in texts:
         text = (t + "$").encode("ascii")
-        rank, sa = _suffix_ranks(text)
-        got, expect = _lcp_array(text, rank, sa), reference.lcp_array(text, rank, sa)
+        _, sa = _suffix_ranks(text)
+        got, expect = _lcp_array(text, sa), reference.lcp_array(text, sa)
         assert got.dtype == expect.dtype and np.array_equal(got, expect), (t[:20], len(t))
 
 
@@ -461,4 +493,4 @@ def test_common_prefixes_match_common_prefix():
         a, b = np.array(pairs[:count], dtype=np.int32).T
         got = _common_prefixes(text, a, b)
         assert got.dtype == np.int32 and got.tolist() == expect[:count], count
-        assert a.tolist() == [i for i, _ in pairs[:count]]  # the inputs are left alone
+        assert a.tolist() == [i for i, _ in pairs[:count]]  # a is left alone
