@@ -284,7 +284,7 @@ def cmd_reproduce_tables(args) -> int:
             _emit(
                 {
                     "anchor": f"Table {args.table} {name}",
-                    "t": params["t"],
+                    "t": report.t_used,
                     "m": report.complement_bound,
                     "expected_m": params["m"],
                     "synchronizing": report.synchronizing,
@@ -292,16 +292,12 @@ def cmd_reproduce_tables(args) -> int:
                     "pass": ok,
                 }
             )
-            print(f"# Table {args.table} {name}: t={params['t']} m={report.complement_bound} {'PASS' if ok else 'FAIL'}")
+            print(f"# Table {args.table} {name}: t={report.t_used} m={report.complement_bound} {'PASS' if ok else 'FAIL'}")
             failures += 0 if ok else 1
     elif args.table in (3, 6):
         rows = TABLE3_ROWS if args.table == 3 else TABLE6_ROWS
         for cap, beta, expected in rows:
             anchor = f"Table {args.table} row {cap}"
-            if args.table == 6 and cap == 9 and args.skip_slow:
-                _emit({"anchor": anchor, "skipped": True})
-                print(f"# {anchor}: SKIPPED")
-                continue
             c = (
                 search.ConstraintSet(power=PowerBound.parse(beta), max_antisquare_order=cap)
                 if args.table == 3
@@ -390,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-tables", help="reproduce a published table")
     p.add_argument("--table", type=int, required=True, choices=range(1, 7))
     p.add_argument("--budget", type=int)
-    p.add_argument("--skip-slow", action="store_true", help="skip the long n=9 row of table 6")
     p.add_argument("--checkpoint-dir")
     p.set_defaults(fn=cmd_reproduce_tables)
 

@@ -1,7 +1,7 @@
 """Morphism engine: apply/iterate/fixed points, the named morphism registry,
-and the three verification procedures for the uniform ternary-to-binary
-constructions (synchronization, image power-freeness, complement-factor
-bound with antisquare inventory).
+and the three verification procedures for ternary-to-binary constructions
+(synchronization, image power-freeness, complement-factor bound with
+antisquare inventory).
 
 The image check walks the tree of squarefree ternary words one level at a
 time, appending one image block per node and extending the equality run of
@@ -14,19 +14,21 @@ call, indexed by the two blocks the period reaches back into, the new
 letter and the offset (_level_tables); a morphism with images of different
 lengths compares each new block with the image before it at every period,
 one mismatch matrix per new letter (_level_matrices).  Both feed one step
-that tests and extends a whole level's runs.
+that tests and extends a whole level's runs.  Ochem's lemma gives the
+length it checks (image_check_length).
 
 The image check, the complement-factor bound and the antisquare inventory
 read the squarefree ternary words of a length from one cached array.  The
 bound and the inventory each walk the factor codes of a window's images
 once, all images together, leaving out factors that cross an image end.
 
-The bound and the inventory rest on the window lemma: for a q-uniform
-morphism h, every factor of length L of h(u), with u squarefree and
-|u| >= ceil(L/q) + 1, lies in h(u') for a squarefree factor u' of u with
-|u'| = ceil(L/q) + 1.  So the images of the squarefree ternary words of
-that one length hold every factor of length <= L, and no longer words need
-to be looked at.
+The bound and the inventory rest on the window lemma: for a morphism h
+whose shortest image has s letters, every factor of length L of h(u), with
+u squarefree and |u| >= ceil(L/s) + 1, lies in h(u') for a squarefree
+factor u' of u with |u'| = ceil(L/s) + 1 (see _window_images).  So the
+images of the squarefree ternary words of that one length hold every
+factor of length <= L, and no longer words need to be looked at; s = q
+for a q-uniform morphism.
 """
 
 from __future__ import annotations
@@ -120,20 +122,11 @@ def fixed_point_prefix(m: Morphism, seed: int, min_length: int) -> Word:
 def is_synchronizing(m: Morphism) -> bool:
     """A uniform morphism with image length q is synchronizing if every
     occurrence of an image inside a two-image concatenation is at position
-    0 or q."""
+    0 or q, so none starts at 1 .. q - 1."""
     q = m.uniform_length
     if q is None:
         raise ValueError("synchronization is only defined for uniform morphisms")
-    for a in m.images:
-        for b in m.images:
-            for c in m.images:
-                hay = b + c
-                pos = hay.find(a)
-                while pos != -1:
-                    if pos not in (0, q):
-                        return False
-                    pos = hay.find(a, pos + 1)
-    return True
+    return all((b + c).find(a, 1, 2 * q - 1) == -1 for a in m.images for b in m.images for c in m.images)
 
 
 _SQUAREFREE = ConstraintSet(power=PowerBound.parse("2"), alphabet_size=3)
@@ -172,6 +165,40 @@ def image_power_check(m: Morphism, bound: PowerBound, t: int) -> bool:
     the image of every word below it.
     """
     return _check_images(m, bound, t, _level_tables if m.uniform_length else _level_matrices)
+
+
+def image_check_length(bound: PowerBound, q: int) -> int:
+    """The length t = floor(N) at which image_power_check shows that a
+    synchronizing q-uniform morphism maps every squarefree ternary word,
+    finite or infinite, to a word that satisfies bound, where
+
+        N = max(2b/(b - 2), 2(q - 1)(2b - 1)/(q(b - 1))),  b = bound.threshold,
+
+    in exact Fraction arithmetic.  ValueError unless b > 2.
+
+    N is the length bound of Ochem's lemma (P. Ochem, "A generator of
+    morphisms for infinite words", RAIRO-ITA 40 (2006) 427-441) with
+    alpha = 2, i.e. squarefree preimages, in the form used here: for
+    rationals 1 < alpha < beta and a synchronizing q-uniform morphism h,
+    q >= 1, if h(w) is beta+-free for every alpha-free word w with |w| <
+    max(2 beta/(beta - alpha), 2(q - 1)(2 beta - 1)/(q(beta - 1))), then
+    h(w) is beta+-free for every alpha-free word w.  This form is not
+    checked against the source's wording (alpha-free or alpha+-free
+    preimages, the range of beta).  Where N is an integer (xi3, xi5, xi6,
+    zeta3, zeta6, zeta10, zeta16), floor(N) is one letter more than |w| < N
+    needs; t keeps floor(N), the published value, as long as the statement
+    at hand does not settle whether N - 1 will do.
+
+    The walk visits only the prefixes of words of length t, so a short
+    squarefree word that extends to no word of length t goes unchecked.
+    That is enough for infinite words: the lemma uses only factors of the
+    infinite word, and each extends on the right, inside it, to a
+    squarefree word of length t, whose image the walk tests.
+    """
+    b = bound.threshold
+    if b <= 2:
+        raise ValueError(f"Ochem's lemma for squarefree preimages needs a threshold above 2; got {bound}")
+    return int(max(2 * b / (b - 2), 2 * (q - 1) * (2 * b - 1) / (q * (b - 1))))  # b is a Fraction
 
 
 def _match_stats(miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,45 +405,54 @@ MAX_WINDOW = 24
 
 
 def _window_images(m: Morphism, length: int) -> list[str]:
-    """Images of all squarefree ternary words of length ceil(length/q) + 1,
-    which by the window lemma hold every factor of length <= length."""
-    q = m.uniform_length
-    if q is None or m.domain_alphabet != 3:
-        raise ValueError("expected a uniform ternary-domain morphism")
-    words = _squarefree_word_array(-(-length // q) + 1)
-    text = m._image_table[1][48 + words].tobytes().decode("ascii")
-    width = words.shape[1] * q
-    return [text[i : i + width] for i in range(0, len(text), width)]
+    """Images of all squarefree ternary words of length ceil(length/s) + 1,
+    s the length of the shortest image, cut from one apply_text of the
+    words end to end at each word's image length.
+
+    By the window lemma they hold every factor of length <= length of the
+    images h(u) of the squarefree words u with |u| >= ceil(length/s) + 1: a
+    factor v has a letter in its first and in its last block, and each
+    block between lies inside v and has at least s letters, so v meets at
+    most ceil(|v|/s) + 1 consecutive blocks, the images of a factor of u;
+    that factor lies in a squarefree factor u' of u with ceil(length/s) + 1
+    letters.  ValueError unless the domain is ternary.
+    """
+    if m.domain_alphabet != 3:
+        raise ValueError("expected a ternary-domain morphism")
+    words = _squarefree_word_array(-(-length // min(map(len, m.images))) + 1)
+    text = m.apply_text((words + 48).tobytes().decode("ascii"))
+    ends = np.cumsum(np.array([len(im) for im in m.images])[words].sum(axis=1)).tolist()
+    return [text[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def complement_factor_bound(m: Morphism) -> int:
     """Largest L such that some v of length L and its complement both occur
     in images h(u) of squarefree ternary words u long enough to hold them,
-    |u| >= ceil(L/q) + 1.
+    |u| >= ceil(L/s) + 1, s the length of the shortest image.
 
-    By the window lemma the factors that count at L are exactly those of
-    the images of the squarefree words of length ceil(L/q) + 1.  Having a
-    complementary pair is closed under taking prefixes, so the first L
-    without one gives the exact answer L - 1.
+    By the window lemma (see _window_images) the factors that count at L
+    are exactly those of the images of the squarefree words of length
+    ceil(L/s) + 1.  Having a complementary pair is closed under taking
+    prefixes, so the first L without one gives the exact answer L - 1.
 
     This is not the same as taking every factor of every image: a short
     squarefree word that extends to no longer one counts only for the L its
     length can hold.  For Morphism(("0", "1", "0")) the whole image of
     1012101 adds a pair at L = 7, and the bound is 6.  Where the window at
-    L = m + 1 is 2 letters, as for every published construction, each
-    window word extends to an infinite squarefree word, so m is the value
-    for infinite words.
+    L = m + 1 is 2 letters, as for every published construction and h154,
+    each window word extends to an infinite squarefree word, so m is the
+    value for infinite words.
 
-    Raises ValueError for a non-uniform or non-ternary-domain morphism, and
-    when pairs persist through windows of MAX_WINDOW letters.
+    Raises ValueError for a non-ternary-domain morphism, and when pairs
+    persist through windows of MAX_WINDOW letters.
     """
-    q = m.uniform_length or 0  # _window_images rejects a non-uniform m
+    s = min(map(len, m.images))
     for window in range(2, MAX_WINDOW + 1):
-        # the window serves the q lengths L with ceil(L/q) + 1 == window, and
+        # the window serves the s lengths L with ceil(L/s) + 1 == window, and
         # one walk of the factor codes of its images answers all of them
-        first = (window - 2) * q + 1
+        first = (window - 2) * s + 1
         levels = _complementary_levels(_window_images(m, first), first)
-        for length, paired in enumerate(islice(levels, q), first):
+        for length, paired in enumerate(islice(levels, s), first):
             if not paired:
                 return length - 1
     raise ValueError(f"complementary factor pairs persist through windows of {MAX_WINDOW} letters")
@@ -425,12 +461,11 @@ def complement_factor_bound(m: Morphism) -> int:
 def morphic_antisquare_inventory(m: Morphism, window: int) -> AntisquareInventory:
     """Distinct antisquares of length <= window occurring in images of
     squarefree ternary words; by the window lemma the images of the words
-    of length ceil(window/q) + 1 hold all of them, and one walk of their
-    factor codes finds them."""
-    images = _window_images(m, window)
+    of length ceil(window/s) + 1, s the length of the shortest image, hold
+    all of them, and one walk of their factor codes finds them."""
     if m.target_alphabet != 2:
         raise ValueError("antisquare inventory is only defined for binary words")
-    found = _inventory(images).distinct
+    found = _inventory(_window_images(m, window)).distinct
     return AntisquareInventory({a for a in found if len(a) <= window})
 
 
@@ -509,19 +544,20 @@ def load_registry() -> dict[str, MorphismRegistryEntry]:
 
 
 # Published verification parameters for the uniform constructions:
-# (constraint kind, cap, power bound, t, expected complement bound m).
+# (constraint kind, cap, power bound, expected complement bound m); the
+# image-check length t follows from the bound (image_check_length).
 # "order" caps the antisquare order (strictly below cap); "count" caps the
 # number of distinct antisquares (at most cap).
 VERIFICATION_PARAMS: dict[str, dict] = {
-    "xi3": dict(kind="order", cap=3, bound="8/3+", t=8, m=6),
-    "xi5": dict(kind="order", cap=5, bound="5/2+", t=10, m=16),
-    "xi6": dict(kind="order", cap=6, bound="7/3+", t=14, m=26),
-    "zeta3": dict(kind="count", cap=3, bound="3+", t=6, m=4),
-    "zeta6": dict(kind="count", cap=6, bound="8/3+", t=8, m=6),
-    "zeta9": dict(kind="count", cap=9, bound="38/15+", t=9, m=17),
-    "zeta10": dict(kind="count", cap=10, bound="5/2+", t=10, m=17),
-    "zeta15": dict(kind="count", cap=15, bound="17/7+", t=11, m=12),
-    "zeta16": dict(kind="count", cap=16, bound="7/3+", t=14, m=13),
+    "xi3": dict(kind="order", cap=3, bound="8/3+", m=6),
+    "xi5": dict(kind="order", cap=5, bound="5/2+", m=16),
+    "xi6": dict(kind="order", cap=6, bound="7/3+", m=26),
+    "zeta3": dict(kind="count", cap=3, bound="3+", m=4),
+    "zeta6": dict(kind="count", cap=6, bound="8/3+", m=6),
+    "zeta9": dict(kind="count", cap=9, bound="38/15+", m=17),
+    "zeta10": dict(kind="count", cap=10, bound="5/2+", m=17),
+    "zeta15": dict(kind="count", cap=15, bound="17/7+", m=12),
+    "zeta16": dict(kind="count", cap=16, bound="7/3+", m=13),
 }
 
 # Published uniform image lengths.
@@ -539,16 +575,18 @@ UNIFORM_LENGTHS: dict[str, int] = {
 
 
 def verify_construction(name: str, registry=None) -> MorphismCheckReport:
-    """Run all three checks for one registered uniform construction and
-    decide its verdict against the published parameters."""
+    """Run all three checks for one registered uniform construction, the
+    image check at the length image_check_length derives from its bound,
+    and decide its verdict against the published parameters."""
     params = VERIFICATION_PARAMS[name]
     registry = registry if registry is not None else load_registry()
     m = registry[name].morphism
     bound = PowerBound.parse(params["bound"])
     sync = is_synchronizing(m)
-    ok_images = image_power_check(m, bound, params["t"])
+    t = image_check_length(bound, m.uniform_length)
+    ok_images = image_power_check(m, bound, t)
     cb = complement_factor_bound(m)
     inv = morphic_antisquare_inventory(m, 2 * cb)
     cap_ok = inv.max_order < params["cap"] if params["kind"] == "order" else inv.count <= params["cap"]
     passed = sync and ok_images and cb == params["m"] and cap_ok
-    return MorphismCheckReport(name, sync, ok_images, params["t"], cb, inv, passed)
+    return MorphismCheckReport(name, sync, ok_images, t, cb, inv, passed)

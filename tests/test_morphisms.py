@@ -19,6 +19,7 @@ from antisquares.morphisms import (
     apply,
     complement_factor_bound,
     fixed_point_prefix,
+    image_check_length,
     image_power_check,
     is_synchronizing,
     load_registry,
@@ -96,6 +97,39 @@ def test_is_synchronizing():
     assert not is_synchronizing(Morphism(("00", "00")))
     with pytest.raises(ValueError):
         is_synchronizing(Morphism(("0", "01")))
+
+
+def _loop_is_synchronizing(m):
+    """The definition letter by letter: every occurrence of an image in
+    every two-image concatenation is at position 0 or q."""
+    q = m.uniform_length
+    for a in m.images:
+        for b in m.images:
+            for c in m.images:
+                hay = b + c
+                pos = hay.find(a)
+                while pos != -1:
+                    if pos not in (0, q):
+                        return False
+                    pos = hay.find(a, pos + 1)
+    return True
+
+
+def test_is_synchronizing_matches_the_loop(registry):
+    # q = 1, where no occurrence can fall strictly inside, the nine
+    # constructions, and seeded random uniform morphisms over two and three letters
+    one_letter = [Morphism(images) for images in product("012", repeat=3)]
+    constructions = [registry[name].morphism for name in VERIFICATION_PARAMS]
+    rng = random.Random(27)
+    randoms = []
+    for _ in range(2000):
+        q, letters = rng.randint(1, 8), rng.choice(("01", "012"))
+        images = ("".join(rng.choice(letters) for _ in range(q)) for _ in range(rng.randint(2, 4)))
+        randoms.append(Morphism(tuple(images)))
+    for m in one_letter + constructions + randoms:
+        assert is_synchronizing(m) == _loop_is_synchronizing(m), m.images
+    assert all(map(is_synchronizing, one_letter + constructions))
+    assert {is_synchronizing(m) for m in randoms} == {True, False}
 
 
 def word_texts(words: np.ndarray) -> list[str]:
@@ -347,12 +381,34 @@ def test_image_tables_match_matrices_on_random_uniform_morphisms():
 
 def test_image_tables_match_matrices_on_the_constructions(registry):
     # the published bound, and the same threshold with its equality case
-    # flipped (17/7 for 17/7+), at the published t
+    # flipped (17/7 for 17/7+), at the t derived from the published bound
     for name, params in VERIFICATION_PARAMS.items():
         m = registry[name].morphism
         published = PowerBound.parse(params["bound"])
-        assert _both_walks(m, published, params["t"]), name
-        _both_walks(m, PowerBound(published.threshold, not published.forbid_equal), params["t"])
+        t = image_check_length(published, m.uniform_length)
+        assert _both_walks(m, published, t), name
+        _both_walks(m, PowerBound(published.threshold, not published.forbid_equal), t)
+
+
+# the image-check lengths t published with the constructions (Tables 2 and 5)
+PUBLISHED_T = {
+    "xi3": 8, "xi5": 10, "xi6": 14, "zeta3": 6, "zeta6": 8, "zeta9": 9, "zeta10": 10, "zeta15": 11, "zeta16": 14,
+}
+
+
+def test_image_check_length_gives_the_published_t(registry):
+    derived = {
+        name: image_check_length(PowerBound.parse(params["bound"]), registry[name].morphism.uniform_length)
+        for name, params in VERIFICATION_PARAMS.items()
+    }
+    assert derived == PUBLISHED_T
+    # at b = 5 the q-term wins for long images: 2b/(b - 2) = 10/3, and
+    # 2(q - 1)(2b - 1)/(q(b - 1)) = 35/8 at q = 36 but 0 at q = 1
+    assert image_check_length(PowerBound.parse("5+"), 36) == 4
+    assert image_check_length(PowerBound.parse("5+"), 1) == 3
+    for text in ("2", "2+", "3/2+", "1+"):
+        with pytest.raises(ValueError, match="above 2"):
+            image_check_length(PowerBound.parse(text), 36)
 
 
 def test_level_tables_give_the_numbers_of_the_level_matrices():
@@ -412,8 +468,9 @@ def test_complement_factor_bound_small(registry):
 
 def _brute_complement_factor_bound(m, max_word=9):
     """The bound from every squarefree u with ceil(L/q)+1 <= |u| <= max_word,
-    without the window lemma; None if pairs outlast words of max_word."""
-    q = m.uniform_length
+    q the length of the shortest image, without the window lemma; None if
+    pairs outlast words of max_word."""
+    q = min(map(len, m.images))
     words = {n: [u.text for u in squarefree_ternary_words(n)] for n in range(2, max_word + 1)}
     length = 1
     while -(-length // q) + 1 <= max_word:
@@ -438,6 +495,18 @@ def test_complement_factor_bound_matches_brute_force():
             continue
         assert complement_factor_bound(m) == expected, m.images
         compared += 1
+    # images of 1 to 5 letters, not all of one length
+    rng = random.Random(27)
+    compared = 0
+    while compared < 20:
+        m = Morphism(tuple("".join(rng.choice("01") for _ in range(rng.randint(1, 5))) for _ in range(3)))
+        if m.uniform_length is not None:
+            continue
+        expected = _brute_complement_factor_bound(m)
+        if expected is None:
+            continue
+        assert complement_factor_bound(m) == expected, m.images
+        compared += 1
 
 
 def test_complement_factor_bound_counts_only_long_enough_words():
@@ -450,8 +519,10 @@ def test_complement_factor_bound_counts_only_long_enough_words():
 def test_complement_factor_bound_errors(registry):
     with pytest.raises(ValueError, match="persist"):
         complement_factor_bound(Morphism(("01", "01", "01")))
-    with pytest.raises(ValueError):
-        complement_factor_bound(registry["h154"].morphism)
+    with pytest.raises(ValueError, match="ternary"):
+        complement_factor_bound(Morphism(("01", "10")))
+    # images of different lengths take the window from the shortest
+    assert complement_factor_bound(registry["h154"].morphism) == 4
 
 
 def test_complement_factor_bound_caps_antisquare_orders(registry):
@@ -462,31 +533,33 @@ def test_complement_factor_bound_caps_antisquare_orders(registry):
 
 
 def test_window_images_match_the_per_word_images(registry):
-    # each window of w letters serves the lengths (w - 2)q + 1 .. (w - 1)q
-    uniform = 0
+    # each window of w letters serves the lengths (w - 2)s + 1 .. (w - 1)s,
+    # s the length of the shortest image, uniform or not
+    checked = set()
     for name, entry in registry.items():
         m = entry.morphism
         if m.domain_alphabet != 3:
+            with pytest.raises(ValueError, match="ternary"):
+                _window_images(m, 8)
             continue
-        if m.uniform_length is None:
-            for reject in (_window_images, morphic_antisquare_inventory):
-                with pytest.raises(ValueError, match="uniform"):
-                    reject(m, 8)
-            continue
-        q = m.uniform_length
+        s = min(map(len, m.images))
         for window in (2, 3, 4):
             want = [m.apply_text(u.text) for u in squarefree_ternary_words(window)]
-            for length in ((window - 2) * q + 1, (window - 1) * q):
+            for length in ((window - 2) * s + 1, (window - 1) * s):
                 assert _window_images(m, length) == want, (name, window, length)
-        uniform += 1
-    assert uniform >= len(VERIFICATION_PARAMS)
+        checked.add(name)
+    assert checked >= set(VERIFICATION_PARAMS) | {"vtm", "h154"}
+    # the target is checked before any image is built: this one has a
+    # binary domain too, which _window_images would reject
+    with pytest.raises(ValueError, match="binary"):
+        morphic_antisquare_inventory(Morphism(("2", "1"), target_alphabet=3), 8)
 
 
 def _per_image_inventory(m, window):
     """The antisquares of length <= window of the window images, one
     inventory per image."""
     found = set()
-    for u in squarefree_ternary_words(-(-window // m.uniform_length) + 1):
+    for u in squarefree_ternary_words(-(-window // min(map(len, m.images))) + 1):
         found |= {a.text for a in inventory(apply(m, u)).distinct if len(a) <= window}
     return found
 
@@ -511,12 +584,17 @@ def test_morphic_inventory_is_the_union_of_per_image_inventories(registry):
         window = rng.randint(1, 4 * q)
         got = {a.text for a in morphic_antisquare_inventory(m, window).distinct}
         assert got == _per_image_inventory(m, window), (m.images, window)
+    # h154 is not uniform: its window comes from its shortest image, 010001,
+    # and 8 is twice its complement bound
+    h = registry["h154"].morphism
+    assert {a.text for a in morphic_antisquare_inventory(h, 8).distinct} == {"01", "10"} == _per_image_inventory(h, 8)
 
 
 def test_verify_construction_fast_entries(registry):
     for name in ("xi3", "zeta3", "zeta6"):
         params = VERIFICATION_PARAMS[name]
         report = verify_construction(name, registry)
+        assert report.t_used == PUBLISHED_T[name]
         assert report.synchronizing
         assert report.image_bound_ok
         assert report.complement_bound == params["m"]
