@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .antisquares import AntisquareInventory, _complementary_levels, _inventory
-from .repetitions import PowerBound, _runs_of
+from .repetitions import PowerBound
 from .search import ConstraintSet, _DFS
 from .words import Word
 
@@ -210,21 +210,24 @@ def _match_stats(miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trail = miss.argmax(axis=1).astype(np.int32)
     full = ~miss[np.arange(rows), trail]
     trail[full] = b
-    lead = np.where(full, b, miss[:, ::-1].argmax(axis=1)).astype(np.int32)
+    lead = np.empty(rows, dtype=np.int32)
+    for x in range(0, rows, 512):  # argmax copies the reversed rows: 512 at a time
+        lead[x : x + 512] = miss[x : x + 512, ::-1].argmax(axis=1)
+    lead[full] = b
     return lead, trail
 
 
 def _longest_matches(miss: np.ndarray) -> np.ndarray:
-    """inner, the longest run of matches in each row of a mismatch matrix."""
+    """inner, the longest run of matches in each row of a mismatch matrix,
+    a column at a time: run holds the matches that end at the column."""
     rows, b = miss.shape
+    run = np.zeros(rows, dtype=np.int32)
     inner = np.zeros(rows, dtype=np.int32)
-    seg = np.zeros((rows, b + 1), dtype=bool)  # a column of misses keeps runs in their rows
-    np.logical_not(miss, out=seg[:, :b])
-    starts, lengths = _runs_of(seg.ravel())
-    if starts.size:
-        rows = starts // (b + 1)
-        first = np.flatnonzero(np.diff(rows, prepend=-1))  # of each row's runs, which come in order
-        inner[rows[first]] = np.maximum.reduceat(lengths, first)
+    match = ~miss
+    for j in range(b):
+        run += 1
+        run *= match[:, j]
+        np.maximum(inner, run, out=inner)
     return inner
 
 
@@ -287,33 +290,31 @@ def _level_tables(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndarra
     compares it with h(a)h(b)[q - r : 2q - r], where a = u[d-k-1] (a
     sentinel block before the image start) and b = u[d-k], which is c for
     k = 0.  So lead, trail and inner depend only on (a, b, c, r), and are
-    built once, one (a, b) context at a time; a == b is a square, which the
-    walk never meets.  A level gathers its nodes' rows of the tables by the
-    codes 12c + 3a + b, whose contexts 3a + b are kept back to front so
-    that depth d reads k = 0 .. d forwards.  inner is gathered only at the
-    periods where min_run < q: elsewhere only a run of the whole block can
-    break the bound, and lead counts that one.
+    built once, from one comparison of the 12 contexts h(a)h(b) with the 3
+    blocks; the rows with a == b, a square, are filled but never read.  A
+    level gathers its nodes' rows of the tables by the codes 12c + 3a + b,
+    whose contexts 3a + b are kept back to front so that depth d reads
+    k = 0 .. d forwards.  inner is gathered only at the periods where
+    min_run < q: elsewhere only a run of the whole block can break the
+    bound, and lead counts that one.
     """
     q = m.uniform_length
-    blocks = np.array([np.frombuffer(im.encode("ascii"), dtype=np.uint8) - 48 for im in m.images])
-    sentinel = np.full(q, 255, dtype=np.uint8)
     inner_periods = int(np.searchsorted(min_run, q))
+    # the blocks read backwards, then the sentinel block a = 3 before the image start
+    ends = np.array([np.frombuffer(im[::-1].encode("ascii"), dtype=np.uint8) - 48 for im in m.images])
+    heads = np.concatenate((ends, np.full((1, q), 255, dtype=np.uint8)))
+    # seg[3a + b] is h(a)h(b) read backwards, so its window at r is h(a)h(b)[q - r : 2q - r] read backwards
+    seg = np.concatenate((np.tile(ends, (4, 1)), np.repeat(heads, 3, axis=0)), axis=1)
+    # miss[12c + 3a + b, r, j] compares h(c) with that window, j from the block end
+    miss = (sliding_window_view(seg, q, axis=1)[None, :, :q] != ends[:, None, None]).reshape(36, q, q)
     # tables[s, 12c + 3a + b, r] for s = lead, trail, inner; inner only at
     # the periods kq + r up to inner_periods, which lie in the first block
-    # (k = 0, so b == c) unless inner_periods >= q
+    # (k = 0, so b == c, the codes 13c + 3a) unless inner_periods >= q
     tables = np.zeros((3, 36, q), dtype=np.min_scalar_type(q))
+    tables[:2] = np.reshape(_match_stats(miss.reshape(36 * q, q)), (2, 36, q))
     inner_rows = min(q, inner_periods + 1)
-    for a in range(4):
-        for b in range(3):
-            if a == b:
-                continue
-            seg = np.concatenate((blocks[a] if a < 3 else sentinel, blocks[b]))
-            shifted = sliding_window_view(seg, q)[q - np.arange(q)]  # row r: seg[q - r : 2q - r]
-            miss = shifted[None, :, ::-1] != blocks[:, None, ::-1]  # (c, r, j), j from the block end
-            rows = slice(3 * a + b, None, 12)  # c = 0, 1, 2
-            tables[:2, rows] = np.reshape(_match_stats(miss.reshape(3 * q, q)), (2, 3, q))
-            for c in range(3) if inner_periods >= q else [b]:
-                tables[2, 12 * c + 3 * a + b, :inner_rows] = _longest_matches(miss[c, :inner_rows])
+    codes = np.arange(36) if inner_periods >= q else (13 * np.arange(3)[:, None] + 3 * np.arange(4)).ravel()
+    tables[2, codes, :inner_rows] = _longest_matches(miss[codes, :inner_rows].reshape(-1, q)).reshape(len(codes), -1)
     lead, trail, inner = tables
     t = words.shape[1]
     letters = words.astype(np.intp)

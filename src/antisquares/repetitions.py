@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -150,6 +150,26 @@ def _has_run(eq: np.ndarray, min_run: int) -> bool:
         r = r[:-shift] & r[shift:]
         k += shift
     return bool(r.any())
+
+
+def _period_scan(w: Word, need: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
+    """(p, start, length) of the first longest run of positions i with
+    w[i] == w[i + p], for each p = 1, 2, ... whose longest run reaches
+    need(p) >= 1; need is read afresh at each p and must never decrease.
+    The scan stops at the first p with p + need(p) > n: no run at distance
+    p is longer than n - p, which falls as need does not.  _has_run rules
+    out most periods before their runs are listed."""
+    n = len(w)
+    arr = w.array()
+    for p in range(1, n):
+        min_run = need(p)
+        if p + min_run > n:
+            return
+        eq = arr[:-p] == arr[p:]
+        if _has_run(eq, min_run):
+            starts, lengths = _runs_of(eq)
+            i = int(np.argmax(lengths))
+            yield p, int(starts[i]), int(lengths[i])
 
 
 # the longest word whose suffixes _suffix_ranks sorts: with its '$', a
@@ -583,10 +603,12 @@ def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     over the runs of w, found from their Lyndon roots in near-linear time
     (see `_runs`) and compared exactly in int64 arithmetic; the witness is
     the run of that exponent with the smallest period, then the earliest
-    start.  A word with no square has no run and falls back to a quadratic
-    scan over every period p: the longest factor with period p has length p
-    plus the longest equality run at distance p.  Words of 2**21 - 1 letters
-    or more raise ValueError.
+    start.  A word with no square has no run; its exponent comes from the
+    period scan (see `_period_scan`), which stops near p = n/e once it has
+    found exponent e: near 4n/7 on a squarefree ternary word of 39 letters
+    or more, which has a factor of exponent >= 7/4 by Dejean's theorem
+    (F. Dejean, "Sur un théorème de Thue", J. Combin. Theory A 13, 1972).
+    Words of 2**21 - 1 letters or more raise ValueError.
     """
     n = len(w)
     if n == 0:
@@ -602,25 +624,18 @@ def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
 
 
 def _squarefree_critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
-    """critical_exponent by a scan over every period (quadratic)."""
+    """critical_exponent by the period scan: the longest factor with period
+    p is p letters plus the longest run at distance p, and each period is
+    asked for a run that beats the best exponent found so far."""
     n = len(w)
-    arr = w.array()
-    # exponent 1, the whole word's, unless some period p < n beats it below
-    best_num, best_den, best = 1, 1, Repetition(0, n, n)
-    for p in range(1, n):
-        eq = arr[:-p] == arr[p:]
-        # only runs that beat the current best matter
-        min_beat = (p * (best_num - best_den)) // best_den + 1
-        if not _has_run(eq, max(min_beat, 1)):
-            continue
-        starts, lengths = _runs_of(eq)
-        i = int(np.argmax(lengths))
-        length = int(lengths[i]) + p
-        # compare length/p with best_num/best_den exactly
-        if length * best_den > best_num * p:
-            best_num, best_den = length, p
-            best = Repetition(int(starts[i]), p, length)
-    return Fraction(best_num, best_den), best
+    best = Repetition(0, n, n)  # exponent 1, the whole word's
+
+    def beat(p: int) -> int:  # the least run r with (p + r) / p above best's exponent
+        return p * (best.length - best.period) // best.period + 1
+
+    for p, start, run in _period_scan(w, beat):
+        best = Repetition(start, p, p + run)
+    return best.exponent, best
 
 
 def maximal_repetitions(w: Word, min_exponent: Fraction) -> list[Repetition]:
@@ -654,23 +669,11 @@ def satisfies(w: Word, bound: PowerBound) -> tuple[bool, Optional[Repetition]]:
     """True iff no factor of w violates the bound.
 
     On failure, returns a minimal-length violating factor as witness.
-    Violating factors of minimal length have minimal period, so periods are
-    scanned in increasing order with an early exit.
+    Violating factors of minimal length have minimal period, so the first
+    period the scan finds with a run of bound.min_violating_run gives one,
+    cut to that run.
     """
-    n = len(w)
-    arr = w.array()
-    # only periods with a violating factor that fits: period + min_run <= n
-    for p in range(1, n):
-        min_run = bound.min_violating_run(p)
-        if p + min_run > n:
-            break
-        eq = arr[:-p] == arr[p:]
-        if not _has_run(eq, min_run):
-            continue
-        starts, lengths = _runs_of(eq)
-        i = int(np.argmax(lengths))
-        if int(lengths[i]) >= min_run:
-            # shrink the run to the minimal violating length
-            return False, Repetition(int(starts[i]), p, p + min_run)
+    for p, start, _ in _period_scan(w, bound.min_violating_run):
+        return False, Repetition(start, p, p + bound.min_violating_run(p))
     return True, None
 

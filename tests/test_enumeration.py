@@ -19,6 +19,8 @@ from antisquares.enumeration import (
     supergolden,
     verify_pansiot_recurrence,
 )
+from antisquares.antisquares import characterized_minimal
+from antisquares.search import ConstraintSet, count_by_length
 from antisquares.words import Word
 
 
@@ -152,6 +154,29 @@ def test_growth_rate_of_good_word_language():
     aut = build_avoidance_automaton(GOOD_WORD_FORBIDDEN)
     est = growth_rate(aut)
     assert abs(est.value - float(supergolden())) < 1e-9
+
+
+def test_every_minimal_antisquare_holds_a_forbidden_good_word_factor():
+    """Every closed-form minimal antisquare of order 2 .. 60 has a factor in
+    GOOD_WORD_FORBIDDEN.  A word that is not good has a shortest factor that
+    is not good, an antisquare of order >= 2 whose proper factors are all
+    good: a minimal antisquare.  So, as far as the closed form is the whole
+    set (test_01 checks it against brute force to order 12), every word the
+    automaton accepts is good, and the good words grow at least as fast.
+
+    At every order n >= 5 the cyclic word of 0^(n-2)10·1^(n-2)01 holds
+    001011 and 110100 at places whose insides do not meet, so each of its
+    conjugates keeps one of them whole; the orders to 60 check that."""
+    for order in range(2, 61):
+        for w in characterized_minimal(order):
+            assert any(f in w.text for f in GOOD_WORD_FORBIDDEN), w.text
+
+
+def test_good_words_avoiding_the_forbidden_factors_are_the_automaton_language():
+    aut = build_avoidance_automaton(GOOD_WORD_FORBIDDEN)
+    c = ConstraintSet(max_antisquare_order=2, forbidden_factors=frozenset(GOOD_WORD_FORBIDDEN))
+    outcome = count_by_length(c, 24)
+    assert outcome.complete and outcome.counts == count_series(aut, 24).counts
 
 
 def test_growth_rate_of_code_language():

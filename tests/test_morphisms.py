@@ -10,6 +10,8 @@ from antisquares.morphisms import (
     _check_images,
     _level_matrices,
     _level_tables,
+    _longest_matches,
+    _match_stats,
     _squarefree_word_array,
     _window_images,
     UNIFORM_LENGTHS,
@@ -283,6 +285,20 @@ def test_image_power_check_non_uniform_h154(registry):
     assert not image_power_check(m, PowerBound.parse("15/4"), 9)
 
 
+def test_h154_is_injective(registry):
+    """Distinct ternary words have distinct h154 images.
+
+    The image of letter a is 01·(0001)^(a+1), and {01, 0001} is a prefix
+    code, so an image cuts into its 01s and 0001s in one way only; each 01
+    opens a letter and the 0001s after it count it.  So the squarefree
+    ternary words, exponentially many, give as many distinct images."""
+    m = registry["h154"].morphism
+    assert m.images == tuple("01" + "0001" * (a + 1) for a in range(3))
+    words = ["".join(u) for n in range(9) for u in product("012", repeat=n)]
+    words += [u.text for n in range(9, 13) for u in squarefree_ternary_words(n)]
+    assert len({m.apply_text(u) for u in words}) == len(words)
+
+
 def test_image_power_check_skips_dead_end_prefixes():
     # h(2021202) = 11011011011 is an 11/3-power; 2021202 extends to no
     # squarefree word of length 8, whose images reach only 10/3
@@ -439,6 +455,20 @@ def test_level_tables_give_the_numbers_of_the_level_matrices():
             assert np.array_equal(got[2][:, :cut], want[2][:, :cut]), (m.images, str(bound), t, depth)
             below_two += cut > q
     assert below_two >= 20
+
+
+def test_block_match_numbers_match_a_scan_of_each_row():
+    # a row's columns run from the block end back to its start; 1,100 rows
+    # take _match_stats past its first block of rows
+    rng = np.random.default_rng(28)
+    for rows, b, p in ((0, 3, 0.5), (1, 1, 0.5), (9, 5, 0.05), (600, 13, 0.3), (1100, 40, 0.1)):
+        miss = rng.random((rows, b)) < p
+        lead, trail = _match_stats(miss)
+        inner = _longest_matches(miss)
+        for row, got in zip(miss.tolist(), zip(lead, trail, inner)):
+            text = "".join("x" if m else "." for m in row)
+            want = len(text) - len(text.rstrip(".")), len(text) - len(text.lstrip(".")), max(map(len, text.split("x")))
+            assert got == want, text
 
 
 def test_image_tables_at_the_image_start_and_one_letter_blocks():
