@@ -182,6 +182,8 @@ def _inventory(texts: list[str]) -> AntisquareInventory:
             hit = (codes[x + order : x + order + len(halves)] == top - halves).nonzero()[0] + x
             if room is not None:
                 hit = hit[room[hit] >= 2 * order]
+            if not len(hit):  # past order 1, a good word has none
+                continue
             _, first = np.unique(codes[hit], return_index=True)
             found.update(Word(text[s : s + 2 * order], 2) for s in hit[first].tolist())
     return AntisquareInventory(found)

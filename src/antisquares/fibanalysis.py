@@ -91,19 +91,19 @@ def fibonacci_word_prefix(length: int) -> Word:
 
 def verify_phi_identities(n_max: int) -> bool:
     """phi^n(0) = 0 f^n(0) 0^-1 and phi^n(01) = 0 f^n(10) 0^-1 for
-    1 <= n <= n_max, where f is the squared Fibonacci morphism 0->010, 1->01."""
+    1 <= n <= n_max, where f is the squared Fibonacci morphism 0->010, 1->01;
+    each n takes the four iterates of n - 1 one step further."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     phi = _morphism("phi")
     f = _morphism("fib2")
-    for n in range(1, n_max + 1):
-        lhs0, lhs01 = "0", "01"
-        rhs0, rhs10 = "0", "10"
-        for _ in range(n):
-            lhs0 = phi.apply_text(lhs0)
-            lhs01 = phi.apply_text(lhs01)
-            rhs0 = f.apply_text(rhs0)
-            rhs10 = f.apply_text(rhs10)
+    lhs0, lhs01 = "0", "01"
+    rhs0, rhs10 = "0", "10"
+    for _ in range(n_max):
+        lhs0 = phi.apply_text(lhs0)
+        lhs01 = phi.apply_text(lhs01)
+        rhs0 = f.apply_text(rhs0)
+        rhs10 = f.apply_text(rhs10)
         if lhs0 != "0" + rhs0[:-1] or lhs01 != "0" + rhs10[:-1]:
             return False
         if rhs0[-1] != "0" or rhs10[-1] != "0":
@@ -305,25 +305,32 @@ class DecompositionFailure(Exception):
     would falsify the factorization lemma and must be surfaced loudly."""
 
 
-def _parse_prefix_code(text: str, code: dict[str, str]) -> Optional[str]:
-    """Decode text as a concatenation of code images (a prefix code), or None."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        for image, letter in code.items():
-            if text.startswith(image, i):
-                out.append(letter)
-                i += len(image)
-                break
-        else:
-            return None
-    return "".join(out)
+# the images of g (0 -> 01, 1 -> 11) share their second letter, and those
+# of g' (0 -> 01, 1 -> 00) their first: (the index of the shared letter,
+# the translation of the other letter into the letter of the image)
+_PAIRS = {"g": (1, {}), "gprime": (0, str.maketrans("01", "10"))}
 
 
-_G_CODE = {"01": "0", "11": "1"}
-_GPRIME_CODE = {"01": "0", "00": "1"}
-_PHI_CODE = {"001": "0", "01": "1"}
+def _parse_pairs(text: str, tag: str) -> Optional[str]:
+    """Decode text as a concatenation of the 2-letter images of g or g'
+    (tag "g" or "gprime"), or None, reading its pairs as two columns."""
+    shared, table = _PAIRS[tag]
+    if len(text) % 2 or text[shared::2] != "01"[shared] * (len(text) // 2):
+        return None
+    return text[1 - shared :: 2].translate(table)
+
+
+_PHI_PIECES = {"00": "0", "0": "1"}  # phi's images 001 and 01, less their 1
+
+
+def _parse_phi(text: str) -> Optional[str]:
+    """Decode text as a concatenation of phi's images, or None.  Each image
+    ends at its only 1, so text splits at its 1s into images less their 1,
+    followed by nothing."""
+    pieces = text.split("1")
+    if pieces.pop() or not _PHI_PIECES.keys() >= set(pieces):
+        return None
+    return "".join(map(_PHI_PIECES.__getitem__, pieces))
 
 
 def _peel(v: str) -> Optional[tuple[list[str], list[str], str]]:
@@ -335,7 +342,7 @@ def _peel(v: str) -> Optional[tuple[list[str], list[str], str]]:
             if ulen + vlen >= len(v):
                 continue
             mid = v[ulen : len(v) - vlen if vlen else len(v)]
-            parsed = _parse_prefix_code(mid, _PHI_CODE)
+            parsed = _parse_phi(mid)
             if parsed is None or len(parsed) >= len(v):
                 continue
             deeper = _peel(parsed)
@@ -361,13 +368,12 @@ def decompose_good_word(w: Word) -> Decomposition:
     # selects g; try both orders to be safe
     tags = ["gprime", "g"] if "0001" in text else ["g", "gprime"]
     for tag in tags:
-        code = _GPRIME_CODE if tag == "gprime" else _G_CODE
         for l1 in range(0, 6):
             for l2 in range(0, 6):
                 if l1 + l2 >= len(text):
                     continue
                 mid = text[l1 : len(text) - l2 if l2 else len(text)]
-                v = _parse_prefix_code(mid, code)
+                v = _parse_pairs(mid, tag)
                 if v is None:
                     continue
                 peeled = _peel(v)

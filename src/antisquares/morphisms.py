@@ -90,13 +90,14 @@ class Morphism:
 
     def apply_text(self, text: str) -> str:
         """The concatenation of the images of the letters of text, gathered
-        from the image table a row per letter, padding dropped.  ValueError
-        names the first letter outside the domain."""
+        from the image table a row per letter by one `take`, which copies
+        rows many times faster than indexing by an array does, padding
+        dropped.  ValueError names the first letter outside the domain."""
         domain, table = self._image_table
         outside = text.translate(domain)
         if outside:
             raise ValueError(f"letter {outside[0]!r} outside morphism domain")
-        image = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+        image = table.take(np.frombuffer(text.encode("ascii"), dtype=np.uint8), axis=0)
         return image[image != 0xFF].tobytes().decode("ascii")
 
 
@@ -106,17 +107,27 @@ def apply(m: Morphism, w: Word) -> Word:
 
 
 def fixed_point_prefix(m: Morphism, seed: int, min_length: int) -> Word:
-    """A prefix of length >= min_length of the unique fixed point of m
-    starting with the seed letter.  Prefix-stable: longer requests only
-    extend the result."""
+    """m^k(seed) for the least k >= 0 with at least min_length letters, a
+    prefix of the unique fixed point of m that starts with the seed letter.
+    Prefix-stable: longer requests only extend the result.
+
+    m^k(seed) is a prefix of m^(k+1)(seed), so m^(k+1)(seed) = m^k(seed)
+    m(x), where x is what m^k(seed) added to m^(k-1)(seed): each round
+    applies m to the letters the round before added, one pass over the
+    prefix in all."""
     if not 0 <= seed < m.domain_alphabet:
         raise ValueError(f"letter {seed} outside morphism domain")
     if not m.prolongable_on(seed):
         raise ValueError(f"morphism is not prolongable on letter {seed}")
-    text = str(seed)
-    while len(text) < min_length:
-        text = m.apply_text(text)
-    return Word(text, m.target_alphabet)
+    if min_length <= 1:
+        return Word(str(seed), m.target_alphabet)
+    parts = [m.images[seed]]  # m(seed)
+    length, added = len(parts[0]), parts[0][1:]
+    while length < min_length:
+        added = m.apply_text(added)
+        parts.append(added)
+        length += len(added)
+    return Word("".join(parts), m.target_alphabet)
 
 
 def is_synchronizing(m: Morphism) -> bool:
@@ -236,19 +247,22 @@ def _level_matrices(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndar
     nodes go in three groups, one per new letter and so one block length
     b, and each group compares its block with the letters p before it at
     every period p, one row of a (periods x nodes) x b mismatch matrix per
-    node and period."""
-    blocks = [np.frombuffer(im.encode("ascii"), dtype=np.uint8) for im in m.images]
+    node and period.  The images are stored back to front, so that the
+    windows read forwards from the block end, as _match_stats wants, and
+    compare with the blocks reversed once."""
+    blocks = [np.frombuffer(im[::-1].encode("ascii"), dtype=np.uint8) for im in m.images]
     lengths = np.array([len(blk) for blk in blocks])
     count, t = words.shape
     ends = np.zeros((count, t + 1), dtype=np.intp)  # ends[i, d]: the length of the image of words[i, :d]
     np.cumsum(lengths[words], axis=1, out=ends[:, 1:])
-    # each word's image, in ASCII codes, after `size` sentinel letters:
-    # x[i - p] with i < p never matches
+    # each word's image x, in ASCII codes, back to front, x[i] at column
+    # size - 1 - i, with `size` sentinel letters after its start: x[i - p]
+    # with i < p never matches
     size = t * int(lengths.max())
-    letters = m._image_table[1][48 + words].reshape(count, -1)
+    letters = m._image_table[1].take(48 + words, axis=0).reshape(count, -1)
     kept = letters != 255
     text = np.full((count, 2 * size), 255, dtype=np.uint8)
-    text[np.nonzero(kept)[0], size - 1 + np.cumsum(kept, axis=1)[kept]] = letters[kept]
+    text[np.nonzero(kept)[0], size - np.cumsum(kept, axis=1)[kept]] = letters[kept]
     windows = {b: sliding_window_view(text, b, axis=1) for b in set(lengths.tolist())}
 
     def step(depth: int, rows: np.ndarray):
@@ -268,8 +282,8 @@ def _level_matrices(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndar
             # rows past a node's periods compare its block with sentinels only
             span = int(periods[group].max())
             p = np.arange(1, span + 1)[:, None]
-            # [p, g, j] compares x[n + j] with x[n + j - p], last letter first
-            miss = windows[len(blk)][rows[group], size + n[group] - p][:, :, ::-1] != blk[::-1]
+            # [p, g, j] compares x[n + b-1-j] with x[n + b-1-j - p], last letter first
+            miss = windows[len(blk)][rows[group], size - n[group] - len(blk) + p] != blk
             # inner is needed only where min_run < b, since elsewhere only a
             # run of the whole block can break the bound, and lead counts that one
             inner_rows = int(np.searchsorted(min_run[:span], len(blk)))
@@ -329,7 +343,7 @@ def _level_tables(m: Morphism, words: np.ndarray, reach: int, min_run: np.ndarra
         codes += 12 * letters[rows, depth, None]
         cut = min(periods, inner_periods)
         lead_trail_inner = [
-            table[codes[:, : span // q + 1]].reshape(len(rows), -1)[:, 1 : span + 1]
+            table.take(codes[:, : span // q + 1], axis=0).reshape(len(rows), -1)[:, 1 : span + 1]
             for table, span in ((lead, periods), (trail, periods), (inner, cut))
         ]
         return q, *lead_trail_inner

@@ -130,46 +130,68 @@ def _runs_of(eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, edges[1::2] - starts
 
 
-def _has_run(eq: np.ndarray, min_run: int) -> bool:
-    """Exact vectorized test for a run of >= min_run consecutive True values.
-
-    Doubling trick: r[i] tracks "run of length k starts at i"; combining r
-    with a shifted copy doubles k.  Early exit as soon as no candidate
-    survives, which kills most periods after a few passes.
-    """
-    if min_run <= 1:
-        return bool(eq.any())
-    r = eq
-    k = 1
-    while k < min_run:
-        if not r.any():
-            return False
-        shift = min(k, min_run - k)
-        if r.size <= shift:
-            return False
-        r = r[:-shift] & r[shift:]
-        k += shift
-    return bool(r.any())
+# the most letters a block of _period_scan compares, unless one period alone
+# has more; the block's boolean temporaries take about 3 bytes a letter
+_SCAN_CELLS = 1 << 16
 
 
 def _period_scan(w: Word, need: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
     """(p, start, length) of the first longest run of positions i with
     w[i] == w[i + p], for each p = 1, 2, ... whose longest run reaches
-    need(p) >= 1; need is read afresh at each p and must never decrease.
-    The scan stops at the first p with p + need(p) > n: no run at distance
-    p is longer than n - p, which falls as need does not.  _has_run rules
-    out most periods before their runs are listed."""
+    need(p) >= 1; need is read afresh before each yield and must never
+    decrease, in p or between reads.  The scan stops at the first p with
+    p + need(p) > n: no run at distance p is longer than n - p.
+
+    Periods go in blocks p .. p+k-1, compared with w at once through a view
+    of w padded with a letter that matches nothing: row j starts at letter
+    p + j and ends with padding, so the rows read as one array with no run
+    across rows.  Doubling marks the starts of runs of need(p) (2s matches
+    start at i where s do at i and at i + s), and a row left unmarked holds
+    no run of need(q) >= need(p).  Each marked row, in order, takes its
+    first longest run from a running maximum of its last mismatch.  Blocks
+    grow 4 times from one period up to _SCAN_CELLS letters, so a word that
+    fails at p = 1 costs one short block."""
     n = len(w)
     arr = w.array()
-    for p in range(1, n):
+    # shifted[p, i] = w[p + i], or the padding past the end of w
+    shifted = np.ndarray((n, n + 1), dtype=np.uint8, buffer=arr.tobytes() + b"\xff" * (n + 1), strides=(1, 1))
+    column = np.arange(1, n + 1, dtype=np.int32)
+    p, k = 1, 1
+    while p < n:
         min_run = need(p)
         if p + min_run > n:
             return
-        eq = arr[:-p] == arr[p:]
-        if _has_run(eq, min_run):
-            starts, lengths = _runs_of(eq)
-            i = int(np.argmax(lengths))
-            yield p, int(starts[i]), int(lengths[i])
+        k = min(k, n - min_run - p + 1)  # a later row holds no run of min_run
+        width = n - p + 1  # the last column compares w[n - p] with the padding
+        eq = shifted[p : p + k, :width] == arr[:width]  # eq[j, i]: w[i] == w[i + p + j]
+        r, run = eq.reshape(-1), 1
+        while run < min_run:
+            shift = min(run, min_run - run)
+            r = r[:-shift] & r[shift:]
+            run += shift
+            if run < min_run and not r.any():
+                break
+        x = 0
+        while x < len(r):
+            x += int(r[x:].argmax())
+            if not r[x]:
+                break
+            j = x // width
+            x = (j + 1) * width
+            q = p + j
+            if j:  # at j = 0 nothing has been yielded since need(p) was read
+                min_run = need(q)
+                if q + min_run > n:
+                    return
+            last = np.where(eq[j], 0, column[:width])  # one past the last mismatch at or before i
+            np.maximum.accumulate(last, out=last)
+            np.subtract(column[:width], last, out=last)  # the run of matches that ends at i
+            end = int(last.argmax())
+            longest = int(last[end])
+            if longest >= min_run:
+                yield q, end - longest + 1, longest
+        p += k
+        k = min(4 * k, max(1, _SCAN_CELLS // width))
 
 
 # the longest word whose suffixes _suffix_ranks sorts: with its '$', a
@@ -604,10 +626,11 @@ def critical_exponent(w: Word) -> tuple[Fraction, Repetition]:
     (see `_runs`) and compared exactly in int64 arithmetic; the witness is
     the run of that exponent with the smallest period, then the earliest
     start.  A word with no square has no run; its exponent comes from the
-    period scan (see `_period_scan`), which stops near p = n/e once it has
-    found exponent e: near 4n/7 on a squarefree ternary word of 39 letters
-    or more, which has a factor of exponent >= 7/4 by Dejean's theorem
-    (F. Dejean, "Sur un théorème de Thue", J. Combin. Theory A 13, 1972).
+    period scan (see `_period_scan`), a block of periods per comparison,
+    which stops near p = n/e once it has found exponent e: near 4n/7 on a
+    squarefree ternary word of 39 letters or more, which has a factor of
+    exponent >= 7/4 by Dejean's theorem (F. Dejean, "Sur un théorème de
+    Thue", J. Combin. Theory A 13, 1972).
     Words of 2**21 - 1 letters or more raise ValueError.
     """
     n = len(w)
@@ -671,7 +694,9 @@ def satisfies(w: Word, bound: PowerBound) -> tuple[bool, Optional[Repetition]]:
     On failure, returns a minimal-length violating factor as witness.
     Violating factors of minimal length have minimal period, so the first
     period the scan finds with a run of bound.min_violating_run gives one,
-    cut to that run.
+    cut to that run.  The scan (see `_period_scan`) compares a block of
+    periods at a time, the first block one period long, and stops at the
+    first period that yields.
     """
     for p, start, _ in _period_scan(w, bound.min_violating_run):
         return False, Repetition(start, p, p + bound.min_violating_run(p))

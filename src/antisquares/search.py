@@ -358,7 +358,7 @@ class _DFS:
             a = back[r, p]  # the child equal to the letter p+1 back, if the prefix has one
             good[base * r[a < base] + a[a < base]] = False
         if rows.state is not None:
-            state = self.transitions[rows.state].reshape(n)
+            state = self.transitions.take(rows.state, axis=0).reshape(n)
             good &= state >= 0
         if rows.ne is not None:
             # antisquares of order k+1 ending at a child: the one whose letter
@@ -385,7 +385,7 @@ class _DFS:
             state = state[alive]
         if rows.tags is not None:
             suffix = ((rows.suffix[parent] << 1) | letter) & _SUFFIX_MASK
-            tags, ntags = rows.tags[parent], count[alive]
+            tags, ntags = rows.tags.take(parent, axis=0), count[alive]
             if len(child):
                 # the new ids of each surviving child go to its next free slots
                 keep = good[child]
@@ -431,7 +431,7 @@ class _DFS:
                 ids[i] = self.interned.setdefault(key, -1 - len(self.interned))
         # one flat scan: numpy's reduction over the short tag axis costs more
         new = np.ones(len(ids), bool)
-        new[(rows.tags[r] == ids[:, None]).ravel().nonzero()[0] // rows.tags.shape[1]] = False
+        new[(rows.tags.take(r, axis=0) == ids[:, None]).ravel().nonzero()[0] // rows.tags.shape[1]] = False
         child, ids = child[new], ids[new]
         count = rows.ntags.repeat(2) + np.bincount(child, minlength=2 * len(rows))
         return count, child, ids

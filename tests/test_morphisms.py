@@ -92,6 +92,25 @@ def test_fixed_point_prefix_stability():
     assert b.startswith(a[:50])
 
 
+def test_fixed_point_prefix_is_the_iterate_of_the_whole_word(registry):
+    """fixed_point_prefix applies m to the letters each round adds; iterating
+    apply_text over the whole word must give the same iterate."""
+    pairs = 0
+    for name, entry in registry.items():
+        m = entry.morphism
+        for seed in range(m.domain_alphabet):
+            if not m.prolongable_on(seed):
+                continue
+            iterates = [str(seed)]
+            while len(iterates[-1]) < 10**5:
+                iterates.append(m.apply_text(iterates[-1]))
+            for length in [*range(1, 301), 10**5]:
+                want = next(text for text in iterates if len(text) >= length)
+                assert fixed_point_prefix(m, seed, length).text == want, (name, seed, length)
+            pairs += 1
+    assert pairs >= 19
+
+
 def test_is_synchronizing():
     assert is_synchronizing(Morphism(("001", "011")))
     # 01 occurs at offset 1 inside 10.01, so the doubling morphism fails

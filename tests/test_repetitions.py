@@ -14,12 +14,14 @@ from search_reference import squarefree_ternary_words
 from antisquares.repetitions import (
     _BLOCK,
     _JUMP_MIN,
+    _SCAN_CELLS,
     PowerBound,
     Repetition,
     _common_prefixes,
     _extend_right,
     _lcp_array,
     _lyndon_roots,
+    _period_scan,
     _rank_windows,
     _runs,
     _suffix_ranks,
@@ -193,6 +195,71 @@ def test_satisfies_matches_brute(w, spec):
         f = w[witness.start : witness.start + witness.length]
         assert smallest_period(f) <= witness.period
         assert bound.violated_by(Fraction(len(f), smallest_period(f)))
+
+
+def reference_period_scan(text: str, need):
+    """_period_scan one period at a time, in plain Python: for each p, the
+    first longest run of i with text[i] == text[i + p], yielded if it
+    reaches need(p), until p + need(p) passes the length."""
+    for p in range(1, len(text)):
+        least = need(p)
+        if p + least > len(text):
+            return
+        best = start = run = 0
+        for i, (a, b) in enumerate(zip(text, text[p:])):
+            run = run + 1 if a == b else 0
+            if run > best:
+                best, start = run, i + 1 - run
+        if best >= least:
+            yield p, start, best
+
+
+def scan_with_rising_need(scan) -> list[tuple[int, int, int]]:
+    """What scan(need) yields when need asks each period to beat the best
+    exponent yielded so far, as the squarefree critical exponent does: need
+    rises after every yield, inside a block of periods too."""
+    best = [1, 1]  # (length, period) of the best exponent so far
+
+    def beat(p: int) -> int:
+        return p * (best[0] - best[1]) // best[1] + 1
+
+    found = []
+    for p, start, run in scan(beat):
+        found.append((p, start, run))
+        best[:] = p + run, p
+    return found
+
+
+SCAN_BOUNDS = ("2", "2+", "7/3", "7/3+", "5/2", "5/2+", "8/3+", "3", "3+", "38/15+", "17/7+", "15/4", "15/4+")
+
+
+def test_period_scan_matches_the_per_period_scan():
+    rng = random.Random(2929)
+    w = fibanalysis.word_w_prefix(10**4).text
+    words = [Word("".join(rng.choice(letters) for _ in range(rng.randint(1, 600))), len(letters))
+             for letters in ("01", "012") for _ in range(8)]
+    words += [Word(w[s : s + n]) for s, n in ((rng.randrange(9000), rng.randint(1, 600)) for _ in range(4))]
+    words += [squarefree_ternary(n) for n in (30, 90, 250)]
+    for word in words:
+        for spec in SCAN_BOUNDS:
+            need = PowerBound.parse(spec).min_violating_run
+            assert list(_period_scan(word, need)) == list(reference_period_scan(word.text, need)), (word.text[:40], spec)
+        want = scan_with_rising_need(lambda need: reference_period_scan(word.text, need))
+        assert scan_with_rising_need(lambda need: _period_scan(word, need)) == want, word.text[:40]
+    # need rises inside a block: the second block, periods 2 to 5, yields three times
+    found = scan_with_rising_need(lambda need: _period_scan(words[-1], need))
+    assert [p for p, _, _ in found[:4]] == [2, 3, 4, 8]
+
+
+def test_period_scan_on_a_word_wider_than_a_block():
+    """Past _SCAN_CELLS letters every block is one period; a block of 4,000
+    zeros gives the runs of 999 p letters or more at periods 1 to 4."""
+    rng = random.Random(29)
+    text = "".join(rng.choice("01") for _ in range(_SCAN_CELLS)) + "0" * 4000
+    need = PowerBound.parse("1000").min_violating_run  # 999 p: the scan stops before p = 70
+    found = list(_period_scan(Word(text), need))
+    assert found == list(reference_period_scan(text, need))
+    assert [p for p, _, _ in found] == [1, 2, 3, 4]
 
 
 def test_maximal_repetitions_square_case():
